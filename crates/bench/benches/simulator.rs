@@ -12,11 +12,11 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use fgstp::{partition_stream, run_fgstp, run_fgstp_with_sink, FgstpConfig, PartitionConfig};
+use fgstp::{partition_stream, FgstpConfig, PartitionConfig};
 use fgstp_bpred::{DirectionPredictor, Tournament};
 use fgstp_isa::Trace;
 use fgstp_mem::{Hierarchy, HierarchyConfig};
-use fgstp_ooo::{build_exec_stream, run_single, run_single_with_sink, CoreConfig};
+use fgstp_ooo::{build_exec_stream, CoreConfig, TimingModel, WarmState};
 use fgstp_sim::{runner::trace_workload, Scale};
 use fgstp_telemetry::CpiSink;
 use fgstp_workloads::by_name;
@@ -140,46 +140,44 @@ fn main() {
     let w = by_name("sjeng_eval", Scale::Test).unwrap();
     let t = trace_workload(&w, Scale::Test);
     h.bench("timing/single_small", t.len() as u64, || {
-        run_single(
-            black_box(t.insts()),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-        )
+        CoreConfig::small()
+            .run_cold(black_box(t.insts()), &HierarchyConfig::small(1))
+            .0
     });
     h.bench("timing/fused_small", t.len() as u64, || {
-        run_single(
-            black_box(t.insts()),
-            &CoreConfig::fused(&CoreConfig::small()),
-            &HierarchyConfig::small(1),
-        )
+        CoreConfig::fused(&CoreConfig::small())
+            .run_cold(black_box(t.insts()), &HierarchyConfig::small(1))
+            .0
     });
     h.bench("timing/fgstp_small", t.len() as u64, || {
-        run_fgstp(
-            black_box(t.insts()),
-            &FgstpConfig::small(),
-            &HierarchyConfig::small(2),
-        )
+        FgstpConfig::small().run_cold(black_box(t.insts()), &HierarchyConfig::small(2))
     });
 
     // Telemetry-on variants: compare against the plain timing benches to
     // see the cost of cycle accounting (the disabled-sink builds above
     // must not regress — the sink is compiled out via a const generic).
     h.bench("timing/single_small_cpi", t.len() as u64, || {
+        let cfg = CoreConfig::small();
+        let mut warm = WarmState::new(&cfg, &HierarchyConfig::small(1));
         let mut sink = CpiSink::new(1);
-        run_single_with_sink(
+        cfg.run(
             black_box(t.insts()),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
+            &mut warm,
+            0,
             &mut sink,
+            &mut Vec::new(),
         )
     });
     h.bench("timing/fgstp_small_cpi", t.len() as u64, || {
+        let cfg = FgstpConfig::small();
+        let mut warm = WarmState::new(&cfg.core, &HierarchyConfig::small(2));
         let mut sink = CpiSink::new(2);
-        run_fgstp_with_sink(
+        cfg.run(
             black_box(t.insts()),
-            &FgstpConfig::small(),
-            &HierarchyConfig::small(2),
+            &mut warm,
+            0,
             &mut sink,
+            &mut Vec::new(),
         )
     });
 

@@ -10,10 +10,10 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp, run_oracle, run_sampling, FgstpConfig, SamplingConfig};
+use fgstp::{run_oracle, run_sampling, FgstpConfig, SamplingConfig};
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::run_single;
+use fgstp_ooo::TimingModel;
 use fgstp_sim::{geomean, Table};
 
 fn main() {
@@ -24,8 +24,8 @@ fn main() {
     let sampling = SamplingConfig::default();
 
     let points = args.session().map_suite(|w, t| {
-        let single = run_single(t.insts(), &cfg.core, &single_h);
-        let (fg, _) = run_fgstp(t.insts(), &cfg, &hcfg);
+        let single = cfg.core.run_cold(t.insts(), &single_h).0;
+        let (fg, _) = cfg.run_cold(t.insts(), &hcfg);
         let oracle = run_oracle(t.insts(), &cfg, &hcfg);
         let sampled = run_sampling(t.insts(), &cfg, &hcfg, &sampling);
         let base = single.cycles as f64;

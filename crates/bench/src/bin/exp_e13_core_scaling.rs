@@ -16,11 +16,8 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp_with_sink, FgstpConfig};
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
-use fgstp_mem::HierarchyConfig;
-use fgstp_sim::{geomean, CpiStack, StallCategory, Table};
-use fgstp_telemetry::CpiSink;
+use fgstp_sim::{geomean, run, CpiStack, MachineKind, RunInput, RunRequest, StallCategory, Table};
 
 const CORE_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
@@ -43,11 +40,13 @@ fn main() {
     let mut stacks: Vec<CpiStack> = Vec::new();
     for n in CORE_COUNTS {
         let points = session.par_map(&jobs, |((_, t), single)| {
-            let cfg = FgstpConfig::small().with_cores(n);
-            let mut sink = CpiSink::new(n);
-            let (r, _) =
-                run_fgstp_with_sink(t.insts(), &cfg, &HierarchyConfig::small(n), &mut sink);
-            let stack = sink.merged();
+            let req = RunRequest {
+                cores: Some(n),
+                telemetry: true,
+                ..RunRequest::default()
+            };
+            let m = run(MachineKind::FgstpSmall, RunInput::Trace(t.insts()), &req);
+            let (r, stack) = (m.result, m.cpi.expect("instrumented run"));
             stack
                 .check_against(n as u64 * r.cycles)
                 .expect("CPI stack accounts for every core-cycle");

@@ -19,10 +19,21 @@
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{print_experiment, ExpArgs};
+use fgstp_isa::DynInst;
+use fgstp_sim::runner::warm_shape;
 use fgstp_sim::{
-    geomean, geomean_estimate, run_on, run_on_sampled, Estimate, MachineKind, SampleConfig, Table,
+    geomean, geomean_estimate, run_on, run_on_sampled_plan, Estimate, MachineKind, SampleConfig,
+    SamplePlan, SampledRun, Table,
 };
 use fgstp_workloads::long_suite;
+
+/// A cold, serial sampled run of `trace` on `kind`.
+fn sampled(kind: MachineKind, trace: &[DynInst], scfg: &SampleConfig) -> SampledRun {
+    let (ccfg, hcfg) = warm_shape(kind);
+    let plan = SamplePlan::plan(trace, &ccfg, &hcfg, scfg);
+    let run = run_on_sampled_plan(kind, &plan, false, None);
+    run.sampled.expect("a plan run carries its sampled record")
+}
 
 /// The sampling regimes swept, coarse to fine.
 const REGIMES: [SampleConfig; 3] = [
@@ -79,14 +90,9 @@ fn main() {
     for scfg in REGIMES {
         // Per workload: paired per-interval speedup estimate + reduction.
         let points: Vec<(Estimate, f64)> = session.par_map(&traced, |(_, t)| {
-            let single = run_on_sampled(MachineKind::SingleSmall, t.insts(), &scfg, false);
-            let fgstp = run_on_sampled(MachineKind::FgstpSmall, t.insts(), &scfg, false);
-            let est = fgstp
-                .sampled
-                .as_ref()
-                .unwrap()
-                .speedup_over(single.sampled.as_ref().unwrap());
-            (est, single.sampled.as_ref().unwrap().detail_reduction())
+            let single = sampled(MachineKind::SingleSmall, t.insts(), &scfg);
+            let fgstp = sampled(MachineKind::FgstpSmall, t.insts(), &scfg);
+            (fgstp.speedup_over(&single), single.detail_reduction())
         });
         let estimates: Vec<Estimate> = points.iter().map(|p| p.0).collect();
         let reductions: Vec<f64> = points.iter().map(|p| p.1).collect();

@@ -41,10 +41,11 @@ use fgstp::{
     FgstpConfig,
 };
 use fgstp_bench::{print_experiment, ExpArgs};
+use fgstp_isa::Trace;
 use fgstp_mem::HierarchyConfig;
 use fgstp_ooo::CoreConfig;
-use fgstp_sim::{geomean, run_on_corun, BenchResult, MachineKind, Table};
-use fgstp_workloads::by_name;
+use fgstp_sim::{geomean, run_on_corun, BenchResult, MachineKind, RunInput, Table};
+use fgstp_workloads::{by_name, Workload};
 
 /// Memory-bound background co-runner for the 2-program scenarios.
 const BG2: &str = "mcf_pointer";
@@ -52,6 +53,17 @@ const BG2: &str = "mcf_pointer";
 const BG3: &str = "libq_stream";
 
 /// The foreground's run out of a co-run result set.
+/// A full-detail, shared-hierarchy co-run of `workloads` on `cores`.
+fn corun(
+    kind: MachineKind,
+    workloads: &[Workload],
+    traces: &[Trace],
+    cores: &[usize],
+) -> Vec<BenchResult> {
+    let inputs: Vec<RunInput> = traces.iter().map(|t| RunInput::Trace(t.insts())).collect();
+    run_on_corun(kind, workloads, &inputs, cores, false, None)
+}
+
 fn fg(results: &[BenchResult]) -> &fgstp_sim::MachineRun {
     &results[0].runs[0]
 }
@@ -75,23 +87,16 @@ fn main() {
     }
 
     let points: Vec<Point> = session.par_map(&traced, |(w, t)| {
-        let solo = run_on_corun(
-            kind,
-            std::slice::from_ref(w),
-            std::slice::from_ref(t),
-            &[2],
-            false,
-        );
+        let solo = corun(kind, std::slice::from_ref(w), std::slice::from_ref(t), &[2]);
         let pair_w = [w.clone(), bg2.clone()];
         let pair_t = [t.clone(), bg2_trace.clone()];
-        let co2 = run_on_corun(kind, &pair_w, &pair_t, &[2, 2], false);
-        let co2_narrow = run_on_corun(kind, &pair_w, &pair_t, &[1, 2], false);
-        let co3 = run_on_corun(
+        let co2 = corun(kind, &pair_w, &pair_t, &[2, 2]);
+        let co2_narrow = corun(kind, &pair_w, &pair_t, &[1, 2]);
+        let co3 = corun(
             kind,
             &[w.clone(), bg2.clone(), bg3.clone()],
             &[t.clone(), bg2_trace.clone(), bg3_trace.clone()],
             &[2, 2, 2],
-            false,
         );
         Point {
             solo: fg(&solo).result.cycles,
@@ -103,12 +108,11 @@ fn main() {
 
     // Determinism gate: the first scenario re-run must be bit-identical.
     if let Some((w, t)) = traced.first() {
-        let rerun = run_on_corun(
+        let rerun = corun(
             kind,
             &[w.clone(), bg2.clone()],
             &[t.clone(), bg2_trace.clone()],
             &[2, 2],
-            false,
         );
         assert_eq!(
             fg(&rerun).result.cycles,
@@ -116,12 +120,11 @@ fn main() {
             "co-run must be deterministic across reruns"
         );
         assert_eq!(fg(&rerun).result.mem.l2, {
-            let co2 = run_on_corun(
+            let co2 = corun(
                 kind,
                 &[w.clone(), bg2.clone()],
                 &[t.clone(), bg2_trace.clone()],
                 &[2, 2],
-                false,
             );
             fg(&co2).result.mem.l2
         });

@@ -10,9 +10,10 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp, FgstpConfig};
+use fgstp::FgstpConfig;
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
 use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::TimingModel;
 use fgstp_sim::{geomean, Table};
 
 fn main() {
@@ -38,7 +39,7 @@ fn main() {
             let mut cfg = FgstpConfig::small();
             cfg.dep_speculation = dep_spec;
             cfg.partition.replication = replication;
-            let (r, s) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
+            let (r, s) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
             (
                 r.speedup_over(&single.result),
                 (s.partition.comms_per_inst() * 100.0).max(1e-9),

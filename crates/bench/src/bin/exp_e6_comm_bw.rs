@@ -8,9 +8,10 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp, FgstpConfig};
+use fgstp::FgstpConfig;
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
 use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::TimingModel;
 use fgstp_sim::{geomean, Table};
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         let points = session.par_map(&jobs, |((_, t), single)| {
             let mut cfg = FgstpConfig::small();
             cfg.comm.bandwidth = bandwidth;
-            let (r, s) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
+            let (r, s) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
             let occupancy = s
                 .comm
                 .iter()

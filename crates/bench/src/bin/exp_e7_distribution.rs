@@ -9,15 +9,16 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp, FgstpConfig};
+use fgstp::FgstpConfig;
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::TimingModel;
 use fgstp_sim::Table;
 
 fn main() {
     let args = ExpArgs::parse();
     let rows = args.session().map_suite(|w, t| {
-        let (_, s) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
+        let (_, s) = FgstpConfig::small().run_cold(t.insts(), &HierarchyConfig::small(2));
         let total = (s.partition.insts[0] + s.partition.insts[1]) as f64;
         [
             w.name.to_owned(),

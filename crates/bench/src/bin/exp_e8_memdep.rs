@@ -9,9 +9,10 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::{run_fgstp, FgstpConfig};
+use fgstp::FgstpConfig;
 use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::TimingModel;
 use fgstp_sim::Table;
 
 fn main() {
@@ -25,10 +26,10 @@ fn main() {
             .filter(|d| d.class() == fgstp_isa::InstClass::Load)
             .count() as f64;
         let spec_cfg = FgstpConfig::small();
-        let (spec, s_spec) = run_fgstp(t.insts(), &spec_cfg, &HierarchyConfig::small(2));
+        let (spec, s_spec) = spec_cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
         let mut cons_cfg = FgstpConfig::small();
         cons_cfg.dep_speculation = false;
-        let (cons, _) = run_fgstp(t.insts(), &cons_cfg, &HierarchyConfig::small(2));
+        let (cons, _) = cons_cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
         [
             w.name.to_owned(),
             s_spec.partition.cross_mem_deps.to_string(),
@@ -70,9 +71,9 @@ fn main() {
     let rows = session.map_suite(|w, t| {
         let mut cfg = FgstpConfig::small();
         cfg.partition.policy = fgstp::PartitionPolicy::ModN { chunk: 4 };
-        let (spec, s_spec) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
+        let (spec, s_spec) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
         cfg.dep_speculation = false;
-        let (cons, _) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
+        let (cons, _) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
         [
             w.name.to_owned(),
             s_spec.partition.cross_mem_deps.to_string(),

@@ -22,9 +22,9 @@
 
 use fgstp_isa::DynInst;
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::run_single;
+use fgstp_ooo::TimingModel;
 
-use crate::machine::{run_fgstp, FgstpConfig};
+use crate::machine::FgstpConfig;
 
 /// Which configuration the controller chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +78,8 @@ impl Default for SamplingConfig {
 /// only) — the oracle upper bound for any reconfiguration policy.
 pub fn run_oracle(trace: &[DynInst], cfg: &FgstpConfig, hcfg: &HierarchyConfig) -> AdaptiveResult {
     let single_h = HierarchyConfig { cores: 1, ..*hcfg };
-    let single = run_single(trace, &cfg.core, &single_h);
-    let (fgstp, _) = run_fgstp(trace, cfg, hcfg);
+    let single = cfg.core.run_cold(trace, &single_h).0;
+    let (fgstp, _) = cfg.run_cold(trace, hcfg);
     if single.cycles <= fgstp.cycles {
         AdaptiveResult {
             mode: Mode::Single,
@@ -113,8 +113,8 @@ pub fn run_sampling(
         return run_oracle(trace, cfg, hcfg);
     }
     let single_h = HierarchyConfig { cores: 1, ..*hcfg };
-    let s0 = run_single(&trace[..sample], &cfg.core, &single_h);
-    let (s1, _) = run_fgstp(&trace[sample..2 * sample], cfg, hcfg);
+    let s0 = cfg.core.run_cold(&trace[..sample], &single_h).0;
+    let (s1, _) = cfg.run_cold(&trace[sample..2 * sample], hcfg);
     let sampling_cycles = s0.cycles + s1.cycles + sampling.reconfig_penalty;
     let rest = &trace[2 * sample..];
     // Per-instruction rates from the samples pick the steady-state mode.
@@ -122,10 +122,10 @@ pub fn run_sampling(
     let fgstp_cpi = s1.cycles as f64 / sample as f64;
     let (mode, rest_cycles) = if single_cpi <= fgstp_cpi {
         // Already in fgstp mode after the second sample: switch back.
-        let r = run_single(rest, &cfg.core, &single_h);
+        let r = cfg.core.run_cold(rest, &single_h).0;
         (Mode::Single, r.cycles + sampling.reconfig_penalty)
     } else {
-        let (r, _) = run_fgstp(rest, cfg, hcfg);
+        let (r, _) = cfg.run_cold(rest, hcfg);
         (Mode::Fgstp, r.cycles)
     };
     AdaptiveResult {
@@ -230,13 +230,13 @@ pub fn run_dynamic(
         let segment = &trace[done..end];
         let cycles = if current == 1 {
             let h = HierarchyConfig { cores: 1, ..*hcfg };
-            run_single(segment, &cfg.core, &h).cycles
+            cfg.core.run_cold(segment, &h).0.cycles
         } else {
             let h = HierarchyConfig {
                 cores: current,
                 ..*hcfg
             };
-            let (r, _) = run_fgstp(segment, &cfg.clone().with_cores(current), &h);
+            let (r, _) = cfg.clone().with_cores(current).run_cold(segment, &h);
             r.cycles
         };
         now += cycles;
@@ -277,8 +277,8 @@ mod tests {
             let cfg = FgstpConfig::small();
             let hcfg = HierarchyConfig::small(2);
             let oracle = run_oracle(t.insts(), &cfg, &hcfg);
-            let single = run_single(t.insts(), &cfg.core, &HierarchyConfig::small(1));
-            let (fg, _) = run_fgstp(t.insts(), &cfg, &hcfg);
+            let (single, ()) = cfg.core.run_cold(t.insts(), &HierarchyConfig::small(1));
+            let (fg, _) = cfg.run_cold(t.insts(), &hcfg);
             assert!(oracle.cycles <= single.cycles);
             assert!(oracle.cycles <= fg.cycles);
         }

@@ -4,7 +4,7 @@
 //!
 //! A [`CoRunPlan`] places one Fg-STP machine instance per program (a
 //! single-core "machine" is the conventional core — the 1-core Fg-STP
-//! machine is bit-identical to `run_single`) on consecutive core ranges of
+//! machine is bit-identical to the single core) on consecutive core ranges of
 //! one chip. The driver advances a single global cycle counter and steps
 //! each active program's machine in fixed program order every cycle, so
 //! shared-resource arbitration (L2 tags, L2 MSHRs, the optional
@@ -14,22 +14,21 @@
 //! many worker threads the surrounding harness uses, because a co-run is
 //! always one job on one thread.
 //!
-//! Degenerate cases are exact by construction:
-//!
-//! * one program on all cores with [`CoRunContention::shared_unlimited`]
-//!   runs against the same shared hierarchy a solo run uses, and is
-//!   bit-identical to [`run_fgstp`](crate::run_fgstp);
-//! * with [`CoRunContention::isolated`] every program gets a private
-//!   hierarchy shaped exactly like its solo machine, and reproduces its
-//!   solo cycle count exactly (co-scheduling without coupling).
+//! The degenerate case is exact by construction: one program on all cores
+//! with [`CoRunContention::shared_unlimited`] runs against the same shared
+//! hierarchy a solo run uses, and is bit-identical to its solo
+//! [`TimingModel::run`](fgstp_ooo::TimingModel::run) (both step the same
+//! [`FgstpMachine`]).
 //!
 //! [`CoRunContention::shared`] adds the finite DRAM bandwidth model on top
 //! of the shared L2 — the configuration the E16 interference experiments
-//! use.
+//! use. Co-scheduling *without* coupling (every program on a private
+//! hierarchy) needs no co-run machinery: it is each program's solo run.
 
 use fgstp_isa::DynInst;
 use fgstp_mem::{DramBandwidth, Hierarchy, HierarchyConfig, HierarchyStats};
-use fgstp_ooo::RunResult;
+use fgstp_ooo::{PredictorState, RunResult};
+use fgstp_telemetry::NullSink;
 
 use crate::machine::{FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram};
 
@@ -58,14 +57,12 @@ impl CoRunProgram {
     }
 }
 
-/// How the co-running programs couple through the memory hierarchy.
+/// How the co-running programs couple through the memory hierarchy
+/// beyond the shared L2 (and its MSHR file).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoRunContention {
-    /// Whether the programs share one L2 (and its MSHR file). When false,
-    /// every program gets a private hierarchy identical to its solo shape.
-    pub shared_l2: bool,
-    /// Finite DRAM bandwidth (requires `shared_l2`); `None` keeps the
-    /// unlimited fixed-latency DRAM.
+    /// Finite DRAM bandwidth; `None` keeps the unlimited fixed-latency
+    /// DRAM.
     pub dram: Option<DramBandwidth>,
 }
 
@@ -74,7 +71,6 @@ impl CoRunContention {
     /// finite-bandwidth DRAM channel.
     pub fn shared() -> CoRunContention {
         CoRunContention {
-            shared_l2: true,
             dram: Some(DramBandwidth::default()),
         }
     }
@@ -82,18 +78,7 @@ impl CoRunContention {
     /// Shared L2 only, unlimited DRAM: a lone program behaves bit-identically
     /// to its solo run.
     pub fn shared_unlimited() -> CoRunContention {
-        CoRunContention {
-            shared_l2: true,
-            dram: None,
-        }
-    }
-
-    /// No shared resources at all: per-program private hierarchies.
-    pub fn isolated() -> CoRunContention {
-        CoRunContention {
-            shared_l2: false,
-            dram: None,
-        }
+        CoRunContention { dram: None }
     }
 }
 
@@ -182,19 +167,6 @@ pub fn run_corun(traces: &[&[DynInst]], plan: &CoRunPlan, base: &HierarchyConfig
         !plan.programs.is_empty(),
         "co-run needs at least one program"
     );
-    if plan.contention.shared_l2 {
-        run_corun_shared(traces, plan, base)
-    } else {
-        run_corun_isolated(traces, plan, base)
-    }
-}
-
-/// Shared-hierarchy co-run: the lockstep global cycle loop.
-fn run_corun_shared(
-    traces: &[&[DynInst]],
-    plan: &CoRunPlan,
-    base: &HierarchyConfig,
-) -> CoRunResult {
     let hcfg = HierarchyConfig {
         cores: plan.total_cores(),
         ..*base
@@ -217,7 +189,10 @@ fn run_corun_shared(
         .iter()
         .zip(&plan.programs)
         .zip(&first_core)
-        .map(|((prog, p), &base_core)| FgstpMachine::new(prog, &p.cfg, base_core))
+        .map(|((prog, p), &base_core)| {
+            let mut pred = PredictorState::new(&p.cfg.core);
+            FgstpMachine::new(prog, &p.cfg, &mut pred, base_core, 0, &mut Vec::new())
+        })
         .collect();
 
     let mut finish: Vec<Option<u64>> = machines
@@ -232,7 +207,7 @@ fn run_corun_shared(
             if finish[i].is_some() || now < plan.programs[i].start_cycle {
                 continue;
             }
-            m.step(now, &mut mem);
+            m.step(now, &mut mem, &mut NullSink);
             if m.done() {
                 finish[i] = Some(now + 1);
             }
@@ -250,7 +225,8 @@ fn run_corun_shared(
             let end = finish[i].unwrap();
             let cores = first_core[i]..first_core[i] + plan.programs[i].cfg.num_cores;
             let view = program_view(&global, cores, i);
-            let (result, stats) = m.finish(end - start, view);
+            let (wr, stats) = m.finish(end - start, view, &mut Vec::new());
+            let result = wr.result;
             CoRunProgramResult {
                 result,
                 stats,
@@ -264,42 +240,6 @@ fn run_corun_shared(
         programs,
         total_cycles,
         mem: global,
-    }
-}
-
-/// Isolated co-run: private hierarchies, so each program reproduces its
-/// solo cycle count exactly; only the schedule (arrival offsets) is shared.
-fn run_corun_isolated(
-    traces: &[&[DynInst]],
-    plan: &CoRunPlan,
-    base: &HierarchyConfig,
-) -> CoRunResult {
-    let mut first_core = 0;
-    let mut merged = HierarchyStats::default();
-    let mut total_cycles = 0;
-    let mut programs = Vec::with_capacity(plan.programs.len());
-    for (trace, p) in traces.iter().zip(&plan.programs) {
-        let hcfg = HierarchyConfig {
-            cores: p.cfg.num_cores,
-            ..*base
-        };
-        let (result, stats) = crate::machine::run_fgstp(trace, &p.cfg, &hcfg);
-        let finish = p.start_cycle + result.cycles;
-        total_cycles = total_cycles.max(finish);
-        merged.merge(&result.mem);
-        programs.push(CoRunProgramResult {
-            result,
-            stats,
-            start_cycle: p.start_cycle,
-            finish_cycle: finish,
-            first_core,
-        });
-        first_core += p.cfg.num_cores;
-    }
-    CoRunResult {
-        programs,
-        total_cycles,
-        mem: merged,
     }
 }
 
@@ -326,6 +266,7 @@ fn program_view(
 mod tests {
     use super::*;
     use fgstp_isa::{assemble, trace_program, Trace};
+    use fgstp_ooo::TimingModel;
 
     fn trace(src: &str) -> Trace {
         let p = assemble(src).unwrap();
@@ -372,7 +313,7 @@ mod tests {
         let t = memory_trace(200);
         let cfg = FgstpConfig::small();
         let hcfg = HierarchyConfig::small(2);
-        let (solo, solo_stats) = crate::machine::run_fgstp(t.insts(), &cfg, &hcfg);
+        let (solo, solo_stats) = cfg.run_cold(t.insts(), &hcfg);
         let plan = CoRunPlan {
             programs: vec![CoRunProgram::new(cfg)],
             contention: CoRunContention::shared_unlimited(),
@@ -387,29 +328,6 @@ mod tests {
         assert_eq!(p.result.mem.l1d, solo.mem.l1d);
         assert_eq!(p.stats.partition, solo_stats.partition);
         assert_eq!(co.total_cycles, solo.cycles);
-    }
-
-    #[test]
-    fn isolated_corunners_reproduce_solo_cycles_exactly() {
-        let a = memory_trace(150);
-        let b = compute_trace();
-        let cfg = FgstpConfig::small();
-        let hcfg = HierarchyConfig::small(2);
-        let (solo_a, _) = crate::machine::run_fgstp(a.insts(), &cfg, &hcfg);
-        let (solo_b, _) = crate::machine::run_fgstp(b.insts(), &cfg, &hcfg);
-        let plan = CoRunPlan {
-            programs: vec![
-                CoRunProgram::new(cfg.clone()),
-                CoRunProgram::new(cfg.clone()),
-            ],
-            contention: CoRunContention::isolated(),
-        };
-        let co = run_corun(&[a.insts(), b.insts()], &plan, &hcfg);
-        assert_eq!(co.programs[0].result.cycles, solo_a.cycles);
-        assert_eq!(co.programs[1].result.cycles, solo_b.cycles);
-        assert_eq!(co.total_cycles, solo_a.cycles.max(solo_b.cycles));
-        // The machine-wide view concatenates both programs' L1 sets.
-        assert_eq!(co.mem.l1d.len(), 4);
     }
 
     #[test]

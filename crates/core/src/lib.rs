@@ -22,23 +22,25 @@
 //! * [`machine`] — the N-core timing machine (the paper's machine is the
 //!   2-core instance): shared frontend orchestration, cross-core
 //!   memory-dependence speculation and global in-order commit
-//!   ([`run_fgstp`]);
+//!   ([`FgstpConfig`] implements [`fgstp_ooo::TimingModel`] by stepping
+//!   one [`FgstpMachine`]);
 //! * [`exec`] — a functional partitioned executor that *proves* a
 //!   partition preserves sequential semantics ([`check_partition`]).
 //!
 //! The **Core Fusion** baseline the paper compares against is the fused
 //! two-cluster configuration of the `fgstp-ooo` core
-//! ([`fgstp_ooo::CoreConfig::fused`]), run through
-//! [`fgstp_ooo::run_single`].
+//! ([`fgstp_ooo::CoreConfig::fused`]); it runs through the same
+//! [`fgstp_ooo::TimingModel`] interface.
 //!
 //! ```
-//! use fgstp::{run_fgstp, FgstpConfig};
+//! use fgstp::FgstpConfig;
 //! use fgstp_isa::{assemble, trace_program};
 //! use fgstp_mem::HierarchyConfig;
+//! use fgstp_ooo::TimingModel;
 //!
 //! let p = assemble("li x1, 2\nadd x2, x1, x1\nhalt")?;
 //! let t = trace_program(&p, 100)?;
-//! let (result, stats) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
+//! let (result, stats) = FgstpConfig::small().run_cold(t.insts(), &HierarchyConfig::small(2));
 //! assert_eq!(result.committed, 2);
 //! assert_eq!(stats.partition.total_insts(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -62,10 +64,7 @@ pub use corun::{
 };
 pub use depgraph::DepGraph;
 pub use exec::{check_partition, CheckError};
-pub use machine::{
-    run_fgstp, run_fgstp_recorded, run_fgstp_warm, run_fgstp_warm_with_sink, run_fgstp_with_sink,
-    FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram,
-};
+pub use machine::{FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram};
 pub use partition::{
     partition_stream, partition_stream_weighted, PartitionConfig, PartitionPolicy, PartitionStats,
     PartitionedStream,

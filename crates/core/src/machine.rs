@@ -20,13 +20,13 @@
 //! default); every mechanism generalizes unchanged to N cores.
 
 use fgstp_isa::DynInst;
-use fgstp_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
+use fgstp_mem::{Hierarchy, HierarchyStats};
 use fgstp_ooo::{
-    build_exec_stream, classify_single, stat_delta, CommitStall, Core, CoreConfig, CoreStats,
-    ExecEnv, ExecInst, FetchGate, LoadGate, Prediction, PredictorState, RunResult, StatDelta,
-    WarmRun, WarmState,
+    build_exec_stream, classify_single, deadlock_cap, stat_delta, CommitStall, Core, CoreConfig,
+    CoreStats, ExecEnv, ExecInst, FetchGate, LoadGate, PipeRecorder, Prediction, PredictorState,
+    RunResult, StatDelta, TimingModel, WarmRun, WarmState,
 };
-use fgstp_telemetry::{CycleOutcome, CycleSink, NullSink, StallCategory};
+use fgstp_telemetry::{CycleOutcome, CycleSink, StallCategory};
 
 use crate::commq::{CommConfig, CommFabric, CommStats};
 use crate::partition::{
@@ -406,261 +406,42 @@ impl ExecEnv for FgstpEnv<'_> {
     }
 }
 
-/// Upper bound on cycles per instruction before declaring a deadlock.
-const DEADLOCK_CPI: u64 = 2_000;
+impl TimingModel for FgstpConfig {
+    type Stats = FgstpStats;
 
-/// Runs `trace` on the Fg-STP machine; returns the timing result and the
-/// Fg-STP-specific statistics.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores, or if the
-/// machine deadlocks (a model bug).
-pub fn run_fgstp(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-) -> (RunResult, FgstpStats) {
-    let (result, stats, _) = run_fgstp_recorded(trace, cfg, hcfg, None);
-    (result, stats)
-}
+    fn cores(&self) -> usize {
+        self.num_cores
+    }
 
-/// Like [`run_fgstp`], but optionally records per-instruction pipeline
-/// events on every core (pass one recorder per core) and returns them —
-/// the multi-core pipeview used by the `fgstpsim pipeview2` command.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores, if the number
-/// of recorders does not match, or if the machine deadlocks (a model bug).
-#[allow(clippy::type_complexity)]
-pub fn run_fgstp_recorded(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    recorders: Option<Vec<fgstp_ooo::PipeRecorder>>,
-) -> (RunResult, FgstpStats, Option<Vec<fgstp_ooo::PipeRecorder>>) {
-    run_fgstp_impl(trace, cfg, hcfg, recorders, &mut NullSink)
-}
+    fn base_core(&self) -> &CoreConfig {
+        &self.core
+    }
 
-/// Like [`run_fgstp`], but charges every core-cycle into `sink` (cores
-/// `0..num_cores`; one outcome per core per machine cycle).
-///
-/// Timing is bit-identical to [`run_fgstp`]: the accounting probes reuse
-/// the environment's idempotent queries and never mutate pipeline,
-/// predictor, queue or cache state.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores, or if the
-/// machine deadlocks (a model bug).
-pub fn run_fgstp_with_sink<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    sink: &mut S,
-) -> (RunResult, FgstpStats) {
-    let (result, stats, _) = run_fgstp_impl(trace, cfg, hcfg, None, sink);
-    (result, stats)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_fgstp_impl<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    recorders: Option<Vec<fgstp_ooo::PipeRecorder>>,
-    sink: &mut S,
-) -> (RunResult, FgstpStats, Option<Vec<fgstp_ooo::PipeRecorder>>) {
-    let mut pred = PredictorState::new(&cfg.core);
-    let mut mem = Hierarchy::new(hcfg);
-    let (result, stats, _, recorders) =
-        run_fgstp_loop(trace, cfg, &mut mem, &mut pred, recorders, sink, 0);
-    (result, stats, recorders)
-}
-
-/// Runs one detailed Fg-STP window entered mid-trace with warmed
-/// long-lived state (the sampled-simulation path); the N-core counterpart
-/// of [`fgstp_ooo::run_single_warm`].
-///
-/// # Panics
-///
-/// Panics if `warm`'s hierarchy does not describe `cfg.num_cores` cores,
-/// or if the machine deadlocks (a model bug).
-pub fn run_fgstp_warm(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    warm: &mut WarmState,
-    measure_from: u64,
-) -> (WarmRun, FgstpStats) {
-    run_fgstp_warm_with_sink(trace, cfg, warm, measure_from, &mut NullSink)
-}
-
-/// Like [`run_fgstp_warm`], but charges every core-cycle (warmup included)
-/// into `sink`.
-///
-/// # Panics
-///
-/// Panics if `warm`'s hierarchy does not describe `cfg.num_cores` cores,
-/// or if the machine deadlocks (a model bug).
-pub fn run_fgstp_warm_with_sink<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    warm: &mut WarmState,
-    measure_from: u64,
-    sink: &mut S,
-) -> (WarmRun, FgstpStats) {
-    let (result, stats, warmup_cycles, _) = run_fgstp_loop(
-        trace,
-        cfg,
-        &mut warm.mem,
-        &mut warm.pred,
-        None,
-        sink,
-        measure_from,
-    );
-    warm.apply_writebacks(trace);
-    (
-        WarmRun {
-            result,
-            warmup_cycles,
-        },
-        stats,
-    )
-}
-
-/// The shared machine loop: drives the N cores over `trace` against an
-/// external hierarchy and predictor bundle, returning the result, the
-/// Fg-STP statistics, the cycle at which the `measure_from`-th primary
-/// commit landed, and any pipeline recorders.
-#[allow(clippy::type_complexity)]
-fn run_fgstp_loop<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    mem: &mut Hierarchy,
-    pred: &mut PredictorState,
-    recorders: Option<Vec<fgstp_ooo::PipeRecorder>>,
-    sink: &mut S,
-    measure_from: u64,
-) -> (
-    RunResult,
-    FgstpStats,
-    u64,
-    Option<Vec<fgstp_ooo::PipeRecorder>>,
-) {
-    let n = cfg.num_cores;
-    assert!(n >= 1, "Fg-STP needs at least one core");
-    assert_eq!(
-        mem.config().cores,
-        n,
-        "hierarchy core count must match FgstpConfig::num_cores"
-    );
-    if let Some(per_core) = &cfg.per_core {
+    /// Partitions `trace` into a [`PreparedProgram`] and steps one
+    /// [`FgstpMachine`] over it to completion.
+    fn run<S: CycleSink>(
+        &self,
+        trace: &[DynInst],
+        warm: &mut WarmState,
+        measure_from: u64,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> (WarmRun, FgstpStats) {
         assert_eq!(
-            per_core.len(),
-            n,
-            "per-core override list must match FgstpConfig::num_cores"
+            warm.mem.config().cores,
+            self.num_cores,
+            "hierarchy core count must match FgstpConfig::num_cores"
         );
+        let prog = PreparedProgram::new(trace, self);
+        let mut machine =
+            FgstpMachine::new(&prog, self, &mut warm.pred, 0, measure_from, recorders);
+        let mut now = 0u64;
+        while !machine.done() {
+            machine.step(now, &mut warm.mem, sink);
+            now += 1;
+        }
+        machine.finish(now, warm.mem.stats(), recorders)
     }
-    let stream = build_exec_stream(trace);
-    // Destructured so the environment can borrow the send masks and load
-    // barriers while the cores borrow their streams — no per-run clones.
-    let PartitionedStream {
-        streams,
-        send_targets,
-        load_barriers,
-        stats: partition_stats,
-        ..
-    } = partition_stream_weighted(&stream, &cfg.partition, &cfg.steering_caps());
-    let mut env = FgstpEnv::new(cfg, &stream, &send_targets, &load_barriers, n, pred);
-    let mut cores: Vec<Core> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Core::new(i, cfg.core_for(i), s))
-        .collect();
-    let recording = recorders.is_some();
-    if let Some(recs) = recorders {
-        assert_eq!(recs.len(), n, "one pipeline recorder per core");
-        for (core, r) in cores.iter_mut().zip(recs) {
-            core.set_recorder(r);
-        }
-    }
-    let cap = (stream.len() as u64) * DEADLOCK_CPI + 100_000;
-    let mut now = 0u64;
-    let mut warmup_cycles = if measure_from == 0 { 0 } else { u64::MAX };
-    let debug = std::env::var_os("FGSTP_TRACE").is_some();
-    let mut before = vec![CoreStats::default(); n];
-    while !cores.iter().all(Core::done) {
-        if S::ENABLED {
-            for (b, core) in before.iter_mut().zip(&cores) {
-                *b = *core.stats();
-            }
-        }
-        for core in &mut cores {
-            core.cycle(now, &mut env, mem);
-        }
-        if S::ENABLED {
-            for (i, core) in cores.iter().enumerate() {
-                let d = stat_delta(&before[i], core.stats());
-                let outcome = if d.committed > 0 {
-                    CycleOutcome::Commit(d.committed as u32)
-                } else {
-                    let stall = core.commit_stall(&mut env, now);
-                    CycleOutcome::Stall(classify_fgstp(core.done(), env.skew_blocked(i), stall, &d))
-                };
-                sink.record(i, now, outcome);
-            }
-        }
-        now += 1;
-        if warmup_cycles == u64::MAX && env.committed >= measure_from {
-            warmup_cycles = now;
-        }
-        if debug && now.is_multiple_of(2000) {
-            let snaps: Vec<String> = cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("c{i} {}", c.pipeline_snapshot()))
-                .collect();
-            eprintln!(
-                "[{}] commit={} {}",
-                now,
-                env.completed_frontier,
-                snaps.join(" | ")
-            );
-        }
-        assert!(now < cap, "Fg-STP machine deadlocked at cycle {now}");
-    }
-    if warmup_cycles == u64::MAX {
-        warmup_cycles = now;
-    }
-    let core_stats: Vec<CoreStats> = cores.iter().map(|c| *c.stats()).collect();
-    let stats = FgstpStats {
-        partition: partition_stats,
-        comm: (0..n).map(|to| env.fabric.inbound_stats(to)).collect(),
-        cross_violations: core_stats.iter().map(|c| c.cross_violations).sum(),
-    };
-    let result = RunResult {
-        cycles: now,
-        committed: env.committed,
-        cores: core_stats,
-        branches: (env.branches, env.mispredicts),
-        mem: mem.stats(),
-    };
-    let recorders = if recording {
-        Some(
-            cores
-                .iter_mut()
-                .enumerate()
-                .map(|(i, c)| {
-                    c.take_recorder()
-                        .unwrap_or_else(|| panic!("recorder was attached to core {i}"))
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    (result, stats, warmup_cycles, recorders)
 }
 
 /// A partitioned program ready to run on an [`FgstpMachine`]: owns the
@@ -675,13 +456,14 @@ pub struct PreparedProgram {
 
 impl PreparedProgram {
     /// Builds the annotated execution stream and partitions it for `cfg`'s
-    /// machine (capacity-weighted on asymmetric machines, exactly like
-    /// [`run_fgstp`]).
+    /// machine (capacity-weighted on asymmetric machines).
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.per_core` is present with the wrong length.
+    /// Panics if `cfg` has no cores or `cfg.per_core` is present with the
+    /// wrong length.
     pub fn new(trace: &[DynInst], cfg: &FgstpConfig) -> PreparedProgram {
+        assert!(cfg.num_cores >= 1, "Fg-STP needs at least one core");
         if let Some(per_core) = &cfg.per_core {
             assert_eq!(
                 per_core.len(),
@@ -710,37 +492,50 @@ impl PreparedProgram {
     }
 }
 
-/// One steppable Fg-STP machine instance over a [`PreparedProgram`] — the
-/// co-run building block. [`FgstpMachine::step`] performs exactly the
-/// per-cycle operations of [`run_fgstp`]'s loop (same core stepping order,
-/// same shared environment), so a lone machine stepped from cycle 0
-/// against a cold hierarchy is bit-identical to [`run_fgstp`]; the co-run
-/// degenerate-case tests pin this down.
+/// One steppable Fg-STP machine instance over a [`PreparedProgram`]: the
+/// only Fg-STP per-cycle loop. A solo run ([`TimingModel::run`]) steps one
+/// machine from cycle 0 on its own hierarchy; a co-run steps several side
+/// by side against a shared one.
 ///
 /// `mem_core_base` remaps the machine's locally-numbered cores onto a
 /// slice of a larger shared hierarchy: core `i` issues its memory accesses
 /// as hierarchy core `mem_core_base + i`, while every environment
-/// interaction (prediction, fabric, commit) keeps the local index.
+/// interaction (prediction, fabric, commit, sink core ids) keeps the
+/// local index.
 #[derive(Debug)]
 pub struct FgstpMachine<'a> {
     prog: &'a PreparedProgram,
     env: FgstpEnv<'a>,
     cores: Vec<Core<'a>>,
+    /// Per-core statistics before the current cycle (sink accounting).
+    before: Vec<CoreStats>,
     stepped: u64,
     cap: u64,
+    measure_from: u64,
+    /// Steps until the `measure_from`-th primary commit (`u64::MAX` while
+    /// it has not landed).
+    warmup_cycles: u64,
 }
 
 impl<'a> FgstpMachine<'a> {
-    /// Builds the machine with a fresh predictor bundle.
+    /// Builds the machine. The shared frontend predicts the whole program
+    /// up front with `pred` (so a sampled window carries its training in
+    /// and out); the steps until the `measure_from`-th primary commit are
+    /// reported as [`WarmRun::warmup_cycles`]. A non-empty `recorders`
+    /// (one per core) is moved onto the cores; [`FgstpMachine::finish`]
+    /// hands it back.
     ///
     /// # Panics
     ///
     /// Panics if `prog` was partitioned for a different core count than
-    /// `cfg.num_cores`.
+    /// `cfg.num_cores`, or `recorders` is neither empty nor one per core.
     pub fn new(
         prog: &'a PreparedProgram,
         cfg: &'a FgstpConfig,
+        pred: &mut PredictorState,
         mem_core_base: usize,
+        measure_from: u64,
+        recorders: &mut Vec<PipeRecorder>,
     ) -> FgstpMachine<'a> {
         let n = cfg.num_cores;
         assert_eq!(
@@ -748,14 +543,17 @@ impl<'a> FgstpMachine<'a> {
             n,
             "program was partitioned for a different core count"
         );
-        let mut pred = PredictorState::new(&cfg.core);
+        assert!(
+            recorders.is_empty() || recorders.len() == n,
+            "one pipeline recorder per core"
+        );
         let env = FgstpEnv::new(
             cfg,
             &prog.stream,
             &prog.parts.send_targets,
             &prog.parts.load_barriers,
             n,
-            &mut pred,
+            pred,
         );
         let mut cores: Vec<Core> = prog
             .parts
@@ -767,12 +565,18 @@ impl<'a> FgstpMachine<'a> {
         for (i, c) in cores.iter_mut().enumerate() {
             c.set_mem_core(mem_core_base + i);
         }
+        for (c, r) in cores.iter_mut().zip(recorders.drain(..)) {
+            c.set_recorder(r);
+        }
         FgstpMachine {
             prog,
             env,
             cores,
+            before: vec![CoreStats::default(); n],
             stepped: 0,
-            cap: (prog.stream.len() as u64) * DEADLOCK_CPI + 100_000,
+            cap: deadlock_cap(prog.stream.len()),
+            measure_from,
+            warmup_cycles: if measure_from == 0 { 0 } else { u64::MAX },
         }
     }
 
@@ -786,16 +590,38 @@ impl<'a> FgstpMachine<'a> {
         self.env.committed
     }
 
-    /// Advances every core one cycle at global time `now`.
+    /// Advances every core one cycle at global time `now`, charging each
+    /// core's cycle into `sink`.
     ///
     /// # Panics
     ///
     /// Panics if the machine exceeds its deadlock bound (a model bug).
-    pub fn step(&mut self, now: u64, mem: &mut Hierarchy) {
+    pub fn step<S: CycleSink>(&mut self, now: u64, mem: &mut Hierarchy, sink: &mut S) {
+        if S::ENABLED {
+            for (b, core) in self.before.iter_mut().zip(&self.cores) {
+                *b = *core.stats();
+            }
+        }
         for core in &mut self.cores {
             core.cycle(now, &mut self.env, mem);
         }
+        if S::ENABLED {
+            for (i, core) in self.cores.iter().enumerate() {
+                let d = stat_delta(&self.before[i], core.stats());
+                let outcome = if d.committed > 0 {
+                    CycleOutcome::Commit(d.committed as u32)
+                } else {
+                    let stall = core.commit_stall(&mut self.env, now);
+                    let skew = self.env.skew_blocked(i);
+                    CycleOutcome::Stall(classify_fgstp(core.done(), skew, stall, &d))
+                };
+                sink.record(i, now, outcome);
+            }
+        }
         self.stepped += 1;
+        if self.warmup_cycles == u64::MAX && self.env.committed >= self.measure_from {
+            self.warmup_cycles = self.stepped;
+        }
         assert!(
             self.stepped < self.cap,
             "Fg-STP machine deadlocked after {} cycles",
@@ -803,12 +629,19 @@ impl<'a> FgstpMachine<'a> {
         );
     }
 
-    /// Consumes the machine into its results. `cycles` is the program's
-    /// own elapsed-cycle count (finish minus start on the caller's clock);
+    /// Consumes the machine into its results and hands the pipeline
+    /// recorders back into `recorders`. `cycles` is the program's own
+    /// elapsed-cycle count (finish minus start on the caller's clock);
     /// `mem` is the hierarchy view to embed — the program's slice of a
     /// shared hierarchy, or a private hierarchy's full stats.
-    pub fn finish(self, cycles: u64, mem: HierarchyStats) -> (RunResult, FgstpStats) {
+    pub fn finish(
+        mut self,
+        cycles: u64,
+        mem: HierarchyStats,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> (WarmRun, FgstpStats) {
         let n = self.cores.len();
+        recorders.extend(self.cores.iter_mut().filter_map(Core::take_recorder));
         let core_stats: Vec<CoreStats> = self.cores.iter().map(|c| *c.stats()).collect();
         let stats = FgstpStats {
             partition: self.prog.parts.stats.clone(),
@@ -822,7 +655,17 @@ impl<'a> FgstpMachine<'a> {
             branches: (self.env.branches, self.env.mispredicts),
             mem,
         };
-        (result, stats)
+        let warmup_cycles = match self.warmup_cycles {
+            u64::MAX => self.stepped,
+            w => w,
+        };
+        (
+            WarmRun {
+                result,
+                warmup_cycles,
+            },
+            stats,
+        )
     }
 }
 
@@ -830,6 +673,16 @@ impl<'a> FgstpMachine<'a> {
 mod tests {
     use super::*;
     use fgstp_isa::{assemble, trace_program, Trace};
+    use fgstp_mem::HierarchyConfig;
+    use fgstp_telemetry::{CpiSink, NullSink};
+
+    fn run_fgstp(
+        trace: &[DynInst],
+        cfg: &FgstpConfig,
+        hcfg: &HierarchyConfig,
+    ) -> (RunResult, FgstpStats) {
+        cfg.run_cold(trace, hcfg)
+    }
 
     fn trace(src: &str) -> Trace {
         let p = assemble(src).unwrap();
@@ -873,8 +726,7 @@ mod tests {
     #[test]
     fn fgstp_beats_one_small_core_on_partition_friendly_code() {
         let t = two_chain_trace();
-        let single =
-            fgstp_ooo::run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+        let (single, ()) = CoreConfig::small().run_cold(t.insts(), &HierarchyConfig::small(1));
         let (fg, _) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
         assert!(
             fg.cycles < single.cycles,
@@ -992,19 +844,35 @@ mod tests {
         run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
     }
 
+    /// A cold run of `t` on `cfg` with a CPI sink and one pipeline
+    /// recorder per core attached (the `pipeview2` path).
+    fn run_observed(t: &Trace, cfg: &FgstpConfig) -> (RunResult, CpiSink, Vec<PipeRecorder>) {
+        let n = cfg.num_cores;
+        let mut warm = WarmState::new(&cfg.core, &HierarchyConfig::small(n));
+        let mut sink = CpiSink::new(n);
+        let mut recs: Vec<PipeRecorder> = (0..n).map(|_| PipeRecorder::new()).collect();
+        let (wr, _) = cfg.run(t.insts(), &mut warm, 0, &mut sink, &mut recs);
+        (wr.result, sink, recs)
+    }
+
+    /// Observation must not perturb the machine: the whole result matches.
+    fn assert_same_result(observed: &RunResult, plain: &RunResult) {
+        assert_eq!(
+            observed.cycles, plain.cycles,
+            "observers must not change timing"
+        );
+        assert_eq!(observed.committed, plain.committed);
+        assert_eq!(observed.cores, plain.cores);
+        assert_eq!(observed.branches, plain.branches);
+        assert_eq!(format!("{:?}", observed.mem), format!("{:?}", plain.mem));
+    }
+
     #[test]
     fn sink_accounts_both_cores_without_changing_timing() {
         let t = two_chain_trace();
         let (plain, _) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
-        let mut sink = fgstp_telemetry::CpiSink::new(2);
-        let (r, _) = run_fgstp_with_sink(
-            t.insts(),
-            &FgstpConfig::small(),
-            &HierarchyConfig::small(2),
-            &mut sink,
-        );
-        assert_eq!(r.cycles, plain.cycles, "telemetry must not change timing");
-        assert_eq!(r.committed, plain.committed);
+        let (r, sink, recs) = run_observed(&t, &FgstpConfig::small());
+        assert_same_result(&r, &plain);
         // Each core's stack covers every machine cycle: the merged total is
         // 2 × machine cycles (aggregate core-cycles).
         for (i, stack) in sink.stacks().iter().enumerate() {
@@ -1015,6 +883,11 @@ mod tests {
         let merged = sink.merged();
         merged.check_against(2 * r.cycles).unwrap();
         assert_eq!(merged.committed, r.committed);
+        // Each recorder holds its own core's instructions (replicas too).
+        assert_eq!(recs.len(), 2);
+        for (rec, core) in recs.iter().zip(&r.cores) {
+            assert_eq!(rec.len() as u64, core.committed + core.replica_committed);
+        }
     }
 
     #[test]
@@ -1022,12 +895,27 @@ mod tests {
         let t = two_chain_trace();
         let cfg = FgstpConfig::small().with_cores(4);
         let (plain, _) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(4));
-        let mut sink = fgstp_telemetry::CpiSink::new(4);
-        let (r, _) = run_fgstp_with_sink(t.insts(), &cfg, &HierarchyConfig::small(4), &mut sink);
-        assert_eq!(r.cycles, plain.cycles, "telemetry must not change timing");
+        let (r, sink, recs) = run_observed(&t, &cfg);
+        assert_same_result(&r, &plain);
         let merged = sink.merged();
         merged.check_against(4 * r.cycles).unwrap();
         assert_eq!(merged.committed, r.committed);
+        assert_eq!(recs.len(), 4);
+        for (rec, core) in recs.iter().zip(&r.cores) {
+            assert_eq!(rec.len() as u64, core.committed + core.replica_committed);
+        }
+    }
+
+    #[test]
+    fn warm_entry_reports_the_warmup_prefix() {
+        let t = two_chain_trace();
+        let cfg = FgstpConfig::small();
+        let hcfg = HierarchyConfig::small(2);
+        let (plain, _) = run_fgstp(t.insts(), &cfg, &hcfg);
+        let mut warm = WarmState::new(&cfg.core, &hcfg);
+        let (wr, _) = cfg.run(t.insts(), &mut warm, 100, &mut NullSink, &mut Vec::new());
+        assert!(wr.warmup_cycles > 0 && wr.warmup_cycles < wr.result.cycles);
+        assert_same_result(&wr.result, &plain);
     }
 
     #[test]

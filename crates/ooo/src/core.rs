@@ -1044,28 +1044,20 @@ impl<'a> Core<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::SingleEnv;
+    use crate::machine::TimingModel;
     use fgstp_isa::{assemble, trace_program};
     use fgstp_mem::HierarchyConfig;
-
-    use crate::stream::build_exec_stream;
 
     fn run(src: &str, cfg: CoreConfig) -> (u64, CoreStats) {
         let p = assemble(src).unwrap();
         let t = trace_program(&p, 100_000).unwrap();
-        let stream = build_exec_stream(t.insts());
-        let total = stream.len() as u64;
-        let mut core = Core::new(0, &cfg, &stream);
-        let mut env = SingleEnv::new(&cfg);
-        let mut mem = fgstp_mem::Hierarchy::new(&HierarchyConfig::small(1));
-        let mut now = 0u64;
-        while !core.done() {
-            core.cycle(now, &mut env, &mut mem);
-            now += 1;
-            assert!(now < total * 1000 + 100_000, "pipeline deadlocked");
-        }
-        assert_eq!(core.stats().committed, total, "all instructions commit");
-        (now, *core.stats())
+        let (r, ()) = cfg.run_cold(t.insts(), &HierarchyConfig::small(1));
+        assert_eq!(
+            r.cores[0].committed,
+            t.len() as u64,
+            "all instructions commit"
+        );
+        (r.cycles, r.cores[0])
     }
 
     const INDEPENDENT: &str = r#"

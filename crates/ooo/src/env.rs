@@ -269,29 +269,19 @@ impl FetchGate {
 /// Environment for a conventional single core (also used for the fused
 /// Core Fusion core, which is a single wide clustered core).
 #[derive(Debug)]
-pub struct SingleEnv {
-    pred: PredictorState,
+pub struct SingleEnv<'a> {
+    pred: &'a mut PredictorState,
     gate: FetchGate,
     next_commit: u64,
     committed: u64,
 }
 
-impl SingleEnv {
-    /// Creates the environment for one core described by `cfg`.
-    pub fn new(cfg: &CoreConfig) -> SingleEnv {
-        SingleEnv {
-            pred: PredictorState::new(cfg),
-            gate: FetchGate::default(),
-            next_commit: 0,
-            committed: 0,
-        }
-    }
-
-    /// Creates the environment around an existing (already-trained)
-    /// predictor bundle — the sampled-simulation warm-entry path. Commit
-    /// order and commit counters start fresh; the predictor's cumulative
+impl<'a> SingleEnv<'a> {
+    /// Creates the environment around a predictor bundle — fresh for a
+    /// cold run, already trained for a sampled window. Commit order and
+    /// commit counters start fresh; the predictor's cumulative
     /// `branches`/`mispredicts` counters keep counting.
-    pub fn with_predictor(pred: PredictorState) -> SingleEnv {
+    pub fn new(pred: &'a mut PredictorState) -> SingleEnv<'a> {
         SingleEnv {
             pred,
             gate: FetchGate::default(),
@@ -300,24 +290,13 @@ impl SingleEnv {
         }
     }
 
-    /// Consumes the environment, handing the predictor bundle back to the
-    /// warm-state owner.
-    pub fn into_predictor(self) -> PredictorState {
-        self.pred
-    }
-
-    /// Conditional branches predicted and mispredicted.
-    pub fn branch_stats(&self) -> (u64, u64) {
-        (self.pred.branches, self.pred.mispredicts)
-    }
-
     /// Instructions committed.
     pub fn committed(&self) -> u64 {
         self.committed
     }
 }
 
-impl ExecEnv for SingleEnv {
+impl ExecEnv for SingleEnv<'_> {
     fn predict(&mut self, _core: usize, x: &ExecInst) -> Prediction {
         self.pred.predict(x)
     }
@@ -407,14 +386,14 @@ mod tests {
                 halt
             "#,
         );
-        let cfg = CoreConfig::small();
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = PredictorState::new(&CoreConfig::small());
+        let mut env = SingleEnv::new(&mut pred);
         for x in &xs {
             if x.class().is_control() {
                 env.predict(0, x);
             }
         }
-        let (branches, mispredicts) = env.branch_stats();
+        let (branches, mispredicts) = (pred.branches, pred.mispredicts);
         assert_eq!(branches, 5);
         assert!(mispredicts <= branches);
         assert!(
@@ -433,8 +412,8 @@ mod tests {
                 jalr x0, ra, 0      # return to 1
             "#,
         );
-        let cfg = CoreConfig::small();
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = PredictorState::new(&CoreConfig::small());
+        let mut env = SingleEnv::new(&mut pred);
         // Call: direct jump, cold BTB -> decode bubble only.
         let p0 = env.predict(0, &xs[0]);
         assert!(!p0.mispredicted);
@@ -447,8 +426,8 @@ mod tests {
     #[test]
     fn commit_is_strictly_in_order() {
         let xs = exec_insts("li x1, 1\nli x2, 2\nhalt");
-        let cfg = CoreConfig::small();
-        let mut env = SingleEnv::new(&cfg);
+        let mut pred = PredictorState::new(&CoreConfig::small());
+        let mut env = SingleEnv::new(&mut pred);
         assert!(env.can_commit(&xs[0]));
         assert!(!env.can_commit(&xs[1]));
         env.on_commit(0, &xs[0], 1);

@@ -11,21 +11,25 @@
 //! global commit order and all cross-core interactions go through
 //! [`ExecEnv`], so the same pipeline implements
 //!
-//! * a conventional single core ([`run_single`] with a one-cluster
-//!   [`CoreConfig`]),
-//! * the **Core Fusion** baseline (a two-cluster fused configuration from
-//!   [`CoreConfig::fused`], still driven by [`run_single`]), and
-//! * each half of the **Fg-STP** pair (driven by the `fgstp` crate's
-//!   dual-core environment).
+//! * a conventional single core (a one-cluster [`CoreConfig`]),
+//! * the **Core Fusion** baseline (the two-cluster fused configuration
+//!   from [`CoreConfig::fused`]), and
+//! * each core of the **Fg-STP** machine (driven by the `fgstp` crate's
+//!   N-core environment).
+//!
+//! Every machine implements [`TimingModel`]: one `run` over a trace, a
+//! [`WarmState`] (hierarchy + predictor bundle), a measurement offset and
+//! a [`fgstp_telemetry::CycleSink`]. [`TimingModel::run_cold`] is the
+//! common cold-start call.
 //!
 //! ```
 //! use fgstp_isa::{assemble, trace_program};
 //! use fgstp_mem::HierarchyConfig;
-//! use fgstp_ooo::{run_single, CoreConfig};
+//! use fgstp_ooo::{CoreConfig, TimingModel};
 //!
 //! let p = assemble("li x1, 3\nadd x2, x1, x1\nhalt")?;
 //! let t = trace_program(&p, 1000)?;
-//! let r = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+//! let (r, ()) = CoreConfig::small().run_cold(t.insts(), &HierarchyConfig::small(1));
 //! assert_eq!(r.committed, 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -45,10 +49,7 @@ pub use config::{ClusterConfig, CoreConfig, FuCounts, FuLatencies, MemDepPolicy}
 pub use core::{CommitStall, Core, CoreStats};
 pub use env::{ExecEnv, FetchGate, LoadGate, Prediction, PredictorState, SingleEnv};
 pub use fu::FuPool;
-pub use machine::{
-    run_single, run_single_recorded, run_single_warm, run_single_warm_with_sink,
-    run_single_with_sink, RunResult, WarmRun,
-};
+pub use machine::{deadlock_cap, RunResult, TimingModel, WarmRun};
 pub use pipeview::{InstEvents, PipeRecorder, Stage};
 pub use stream::{build_exec_stream, ExecInst, MemDep, SrcDep};
 pub use warm::WarmState;

@@ -1,13 +1,15 @@
-//! Single-core machine driver (also runs the fused Core Fusion core).
+//! The timing-model interface and the single-core machine (which also
+//! runs the fused Core Fusion core).
 
 use fgstp_isa::DynInst;
-use fgstp_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
+use fgstp_mem::{HierarchyConfig, HierarchyStats};
 use fgstp_telemetry::{CycleOutcome, CycleSink, NullSink};
 
 use crate::accounting::{classify_single, stat_delta};
 use crate::config::CoreConfig;
 use crate::core::{Core, CoreStats};
-use crate::env::{PredictorState, SingleEnv};
+use crate::env::SingleEnv;
+use crate::pipeview::PipeRecorder;
 use crate::stream::build_exec_stream;
 use crate::warm::WarmState;
 
@@ -43,8 +45,8 @@ impl RunResult {
     }
 }
 
-/// Result of a warm-entry (sampled) run: the usual [`RunResult`] over the
-/// whole window plus the cycle at which the measured region began.
+/// Result of a [`TimingModel::run`]: the usual [`RunResult`] over the
+/// whole trace plus the cycle at which the measured region began.
 #[derive(Debug, Clone)]
 pub struct WarmRun {
     /// Timing result over the *entire* detailed window (warmup included).
@@ -65,186 +67,169 @@ impl WarmRun {
 /// Upper bound on cycles per instruction before declaring a deadlock.
 const DEADLOCK_CPI: u64 = 2_000;
 
-/// Runs `trace` through a single core described by `cfg` (a conventional
-/// core, or a fused Core Fusion core when `cfg` has two clusters).
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single(trace: &[DynInst], cfg: &CoreConfig, hcfg: &HierarchyConfig) -> RunResult {
-    run_single_recorded(trace, cfg, hcfg, None).0
+/// The cycle count at which a machine running `insts` instructions is
+/// declared deadlocked — the one bound every per-cycle loop checks.
+pub fn deadlock_cap(insts: usize) -> u64 {
+    insts as u64 * DEADLOCK_CPI + 100_000
 }
 
-/// Like [`run_single`], but optionally records per-instruction pipeline
-/// events (see [`crate::PipeRecorder`]) and returns the recorder.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_recorded(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    recorder: Option<crate::pipeview::PipeRecorder>,
-) -> (RunResult, Option<crate::pipeview::PipeRecorder>) {
-    run_single_impl(trace, cfg, hcfg, recorder, &mut NullSink)
-}
+/// A machine that charges cycles to a committed-path trace. The paper's
+/// three machines are two implementations: the single core
+/// ([`CoreConfig`]; Core Fusion is its fused configuration) and the
+/// N-core Fg-STP machine (`fgstp::FgstpConfig`). Each drives exactly one
+/// per-cycle loop, and every run path — cold, sampled window,
+/// instrumented, recorded — goes through [`TimingModel::run`].
+pub trait TimingModel {
+    /// Machine statistics beyond [`RunResult`] (`()` for the single core).
+    type Stats;
 
-/// Like [`run_single`], but charges every cycle into `sink` (commits, or
-/// one [`fgstp_telemetry::StallCategory`] per non-commit cycle).
-///
-/// The sink observes core 0 only; timing is bit-identical to
-/// [`run_single`] because the accounting probes never mutate pipeline,
-/// predictor or cache state.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_with_sink<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    sink: &mut S,
-) -> RunResult {
-    run_single_impl(trace, cfg, hcfg, None, sink).0
-}
+    /// Cores the machine drives; sink core ids and recorders are indexed
+    /// `0..cores()`.
+    fn cores(&self) -> usize;
 
-fn run_single_impl<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    recorder: Option<crate::pipeview::PipeRecorder>,
-    sink: &mut S,
-) -> (RunResult, Option<crate::pipeview::PipeRecorder>) {
-    let mut env = SingleEnv::new(cfg);
-    let mut mem = Hierarchy::new(hcfg);
-    let (result, _, rec) = run_single_loop(trace, cfg, &mut env, &mut mem, recorder, sink, 0);
-    (result, rec)
-}
+    /// The core configuration that shapes the branch-predictor bundle,
+    /// and so the machine's [`WarmState`].
+    fn base_core(&self) -> &CoreConfig;
 
-/// Runs one detailed window entered mid-trace with warmed long-lived state
-/// (the sampled-simulation path).
-///
-/// The window executes on `warm.mem` and `warm.pred`; short-lived pipeline
-/// state starts cold and ramps up during the first `measure_from` commits,
-/// whose cycles are reported separately as [`WarmRun::warmup_cycles`]. The
-/// reported `branches` and `mem` statistics are cumulative over the whole
-/// sampled run so far (they live in `warm`), not per-window.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_warm(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    warm: &mut WarmState,
-    measure_from: u64,
-) -> WarmRun {
-    run_single_warm_with_sink(trace, cfg, warm, measure_from, &mut NullSink)
-}
+    /// Runs `trace` against the long-lived state in `warm`: its hierarchy
+    /// and predictor bundle carry over (fresh from [`WarmState::new`] for
+    /// a cold run, trained for a sampled window), while short-lived
+    /// pipeline state starts cold. The cycles until the `measure_from`-th
+    /// commit are reported as [`WarmRun::warmup_cycles`]; `branches`
+    /// counts this run only, `mem` is the hierarchy's cumulative view.
+    ///
+    /// Every cycle is charged into `sink` (one outcome per core per
+    /// cycle); the probes never mutate machine state, so timing is
+    /// bit-identical for any sink. A non-empty `recorders` (one per core)
+    /// records per-instruction pipeline events and is handed back filled.
+    /// The register file in `warm` is left alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm`'s hierarchy or `recorders` do not match the
+    /// machine's core count, or if the machine deadlocks (a model bug).
+    fn run<S: CycleSink>(
+        &self,
+        trace: &[DynInst],
+        warm: &mut WarmState,
+        measure_from: u64,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> (WarmRun, Self::Stats);
 
-/// Like [`run_single_warm`], but charges every cycle (warmup included)
-/// into `sink`.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (a model bug, not an input condition).
-pub fn run_single_warm_with_sink<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    warm: &mut WarmState,
-    measure_from: u64,
-    sink: &mut S,
-) -> WarmRun {
-    let pred = std::mem::replace(&mut warm.pred, PredictorState::new(cfg));
-    let mut env = SingleEnv::with_predictor(pred);
-    let (result, warmup_cycles, _) = run_single_loop(
-        trace,
-        cfg,
-        &mut env,
-        &mut warm.mem,
-        None,
-        sink,
-        measure_from,
-    );
-    warm.pred = env.into_predictor();
-    warm.apply_writebacks(trace);
-    WarmRun {
-        result,
-        warmup_cycles,
+    /// A cold, unobserved run on a fresh hierarchy described by `hcfg`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TimingModel::run`].
+    fn run_cold(&self, trace: &[DynInst], hcfg: &HierarchyConfig) -> (RunResult, Self::Stats) {
+        let mut warm = WarmState::new(self.base_core(), hcfg);
+        let (wr, stats) = self.run(trace, &mut warm, 0, &mut NullSink, &mut Vec::new());
+        (wr.result, stats)
     }
 }
 
-/// The shared cycle loop: drives one core over `trace` against an external
-/// environment and hierarchy, returning the result, the cycle at which the
-/// `measure_from`-th commit landed, and any pipeline recorder.
-fn run_single_loop<S: CycleSink>(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    env: &mut SingleEnv,
-    mem: &mut Hierarchy,
-    recorder: Option<crate::pipeview::PipeRecorder>,
-    sink: &mut S,
-    measure_from: u64,
-) -> (RunResult, u64, Option<crate::pipeview::PipeRecorder>) {
-    let stream = build_exec_stream(trace);
-    let total = stream.len() as u64;
-    let branches_before = env.branch_stats();
-    let mut core = Core::new(0, cfg, &stream);
-    if let Some(r) = recorder {
-        core.set_recorder(r);
+impl TimingModel for CoreConfig {
+    type Stats = ();
+
+    fn cores(&self) -> usize {
+        1
     }
-    let cap = total * DEADLOCK_CPI + 100_000;
-    let mut now = 0u64;
-    let mut warmup_cycles = if measure_from == 0 { 0 } else { u64::MAX };
-    while !core.done() {
-        let before = if S::ENABLED {
-            *core.stats()
-        } else {
-            CoreStats::default()
-        };
-        core.cycle(now, env, mem);
-        if S::ENABLED {
-            let d = stat_delta(&before, core.stats());
-            let outcome = if d.committed > 0 {
-                CycleOutcome::Commit(d.committed as u32)
-            } else {
-                let stall = core.commit_stall(env, now);
-                CycleOutcome::Stall(classify_single(stall, &d))
-            };
-            sink.record(0, now, outcome);
+
+    fn base_core(&self) -> &CoreConfig {
+        self
+    }
+
+    fn run<S: CycleSink>(
+        &self,
+        trace: &[DynInst],
+        warm: &mut WarmState,
+        measure_from: u64,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> (WarmRun, ()) {
+        assert!(recorders.len() <= 1, "one pipeline recorder per core");
+        let stream = build_exec_stream(trace);
+        let branches_before = (warm.pred.branches, warm.pred.mispredicts);
+        let mut env = SingleEnv::new(&mut warm.pred);
+        let mut core = Core::new(0, self, &stream);
+        if let Some(r) = recorders.pop() {
+            core.set_recorder(r);
         }
-        now += 1;
-        if warmup_cycles == u64::MAX && env.committed() >= measure_from {
+        let cap = deadlock_cap(stream.len());
+        let mut now = 0u64;
+        let mut warmup_cycles = if measure_from == 0 { 0 } else { u64::MAX };
+        while !core.done() {
+            let before = if S::ENABLED {
+                *core.stats()
+            } else {
+                CoreStats::default()
+            };
+            core.cycle(now, &mut env, &mut warm.mem);
+            if S::ENABLED {
+                let d = stat_delta(&before, core.stats());
+                let outcome = if d.committed > 0 {
+                    CycleOutcome::Commit(d.committed as u32)
+                } else {
+                    let stall = core.commit_stall(&mut env, now);
+                    CycleOutcome::Stall(classify_single(stall, &d))
+                };
+                sink.record(0, now, outcome);
+            }
+            now += 1;
+            if warmup_cycles == u64::MAX && env.committed() >= measure_from {
+                warmup_cycles = now;
+            }
+            assert!(
+                now < cap,
+                "single-core pipeline deadlocked at cycle {now}: {}",
+                core.pipeline_snapshot()
+            );
+        }
+        if warmup_cycles == u64::MAX {
             warmup_cycles = now;
         }
-        assert!(
-            now < cap,
-            "single-core pipeline deadlocked at cycle {now}: {}",
-            core.pipeline_snapshot()
-        );
+        let committed = env.committed();
+        let result = RunResult {
+            cycles: now,
+            committed,
+            cores: vec![*core.stats()],
+            branches: (
+                warm.pred.branches - branches_before.0,
+                warm.pred.mispredicts - branches_before.1,
+            ),
+            mem: warm.mem.stats(),
+        };
+        recorders.extend(core.take_recorder());
+        (
+            WarmRun {
+                result,
+                warmup_cycles,
+            },
+            (),
+        )
     }
-    if warmup_cycles == u64::MAX {
-        warmup_cycles = now;
-    }
-    let branches_after = env.branch_stats();
-    let result = RunResult {
-        cycles: now,
-        committed: env.committed(),
-        cores: vec![*core.stats()],
-        branches: (
-            branches_after.0 - branches_before.0,
-            branches_after.1 - branches_before.1,
-        ),
-        mem: mem.stats(),
-    };
-    (result, warmup_cycles, core.take_recorder())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fgstp_isa::{assemble, trace_program};
+
+    fn run_single(trace: &[DynInst], cfg: &CoreConfig, hcfg: &HierarchyConfig) -> RunResult {
+        cfg.run_cold(trace, hcfg).0
+    }
+
+    /// A cold run of the small core with `recorders` and `sink` attached.
+    fn run_observed<S: CycleSink>(
+        t: &fgstp_isa::Trace,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> RunResult {
+        let cfg = CoreConfig::small();
+        let mut warm = WarmState::new(&cfg, &HierarchyConfig::small(1));
+        cfg.run(t.insts(), &mut warm, 0, sink, recorders).0.result
+    }
 
     fn trace(src: &str) -> fgstp_isa::Trace {
         let p = assemble(src).unwrap();
@@ -385,13 +370,9 @@ mod tests {
     #[test]
     fn recorded_run_captures_every_stage_in_order() {
         let t = kernel();
-        let (r, rec) = run_single_recorded(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            Some(crate::pipeview::PipeRecorder::new()),
-        );
-        let rec = rec.expect("recorder returned");
+        let mut recs = vec![PipeRecorder::new()];
+        let r = run_observed(&t, &mut NullSink, &mut recs);
+        let rec = recs.pop().expect("recorder returned");
         assert_eq!(rec.len() as u64, r.committed, "every instruction recorded");
         for (gseq, _, ev) in rec.iter() {
             assert!(ev.is_ordered(), "stages out of order for {gseq}: {ev:?}");
@@ -411,14 +392,11 @@ mod tests {
         let t = kernel();
         let plain = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
         let mut sink = fgstp_telemetry::CpiSink::new(1);
-        let r = run_single_with_sink(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            &mut sink,
-        );
+        let mut recs = vec![PipeRecorder::new()];
+        let r = run_observed(&t, &mut sink, &mut recs);
         assert_eq!(r.cycles, plain.cycles, "telemetry must not change timing");
         assert_eq!(r.committed, plain.committed);
+        assert_eq!(recs[0].len() as u64, r.committed, "recorder filled too");
         let stack = sink.merged();
         stack.check_against(r.cycles).unwrap();
         assert_eq!(stack.committed, r.committed);
@@ -432,12 +410,22 @@ mod tests {
     #[test]
     fn unrecorded_run_returns_no_recorder() {
         let t = kernel();
-        let (_, rec) = run_single_recorded(
-            t.insts(),
-            &CoreConfig::small(),
-            &HierarchyConfig::small(1),
-            None,
+        let mut recs = Vec::new();
+        run_observed(&t, &mut NullSink, &mut recs);
+        assert!(recs.is_empty());
+    }
+
+    #[test]
+    fn warm_entry_reports_the_warmup_prefix() {
+        let t = kernel();
+        let cfg = CoreConfig::small();
+        let mut warm = WarmState::new(&cfg, &HierarchyConfig::small(1));
+        let (wr, ()) = cfg.run(t.insts(), &mut warm, 100, &mut NullSink, &mut Vec::new());
+        assert!(wr.warmup_cycles > 0 && wr.warmup_cycles < wr.result.cycles);
+        assert_eq!(
+            wr.result.cycles,
+            run_single(t.insts(), &cfg, &HierarchyConfig::small(1)).cycles,
+            "measure_from only splits the cycle count"
         );
-        assert!(rec.is_none());
     }
 }

@@ -5,9 +5,8 @@
 //! long-lived microarchitectural state (caches and branch predictors)
 //! updates — with short *detailed* windows run on the full timing machine.
 //! [`WarmState`] is the handoff between the two: the warming loop feeds it
-//! one [`DynInst`] at a time, and the machine drivers
-//! ([`crate::run_single_warm`], `fgstp::run_fgstp_warm`) enter mid-trace
-//! with its caches, predictor and architectural-register snapshot.
+//! one [`DynInst`] at a time, and every [`crate::TimingModel::run`]
+//! enters mid-trace with its caches and predictor bundle.
 
 use fgstp_isa::reg::NUM_REGS;
 use fgstp_isa::{DynInst, InstClass};
@@ -114,16 +113,6 @@ impl WarmState {
             ));
         }
         Ok(w)
-    }
-
-    /// Applies the register writebacks of `insts` without touching caches
-    /// or predictors — used after a *detailed* window (which already
-    /// simulated its memory and control traffic) to keep the architectural
-    /// snapshot current.
-    pub fn apply_writebacks(&mut self, insts: &[DynInst]) {
-        for d in insts {
-            self.apply_writeback(d);
-        }
     }
 
     fn apply_writeback(&mut self, d: &DynInst) {
@@ -237,18 +226,5 @@ mod tests {
         // Wrong machine shape fails.
         let hcfg2 = fgstp_mem::HierarchyConfig::small(2);
         assert!(WarmState::from_state_bytes(&cfg, &hcfg2, &bytes).is_err());
-    }
-
-    #[test]
-    fn writeback_only_path_leaves_caches_untouched() {
-        let src = "li x1, 3\nli x2, 4\nhalt";
-        let p = assemble(src).unwrap();
-        let t = trace_program(&p, 100).unwrap();
-        let mut w = WarmState::new(&CoreConfig::small(), &fgstp_mem::HierarchyConfig::small(1));
-        w.apply_writebacks(t.insts());
-        assert_eq!(w.regs[1], 3);
-        assert_eq!(w.regs[2], 4);
-        assert_eq!(w.mem.stats().l1i[0].accesses, 0);
-        assert_eq!(w.pred.branches, 0);
     }
 }

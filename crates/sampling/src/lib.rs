@@ -16,17 +16,17 @@
 //!    detailed-window boundary the warm state is serialized into the
 //!    window's [`WindowJob`] (a *live-point*), so every window carries an
 //!    immutable byte-for-byte copy of its pre-window machine state.
-//! 2. **Execution** ([`run_plan_single`] and friends): each window
-//!    deserializes its own private warm state and runs `warmup + detail`
-//!    instructions on the full timing machine (single-core or N-core
-//!    Fg-STP). The first [`SampleConfig::warmup`] commits absorb the
-//!    cold-pipeline ramp and their cycles are discarded; the remaining
+//! 2. **Execution** ([`run_plan`]): each window deserializes its own
+//!    private warm state and runs `warmup + detail` instructions on any
+//!    [`TimingModel`] (the single core or the N-core Fg-STP machine). The
+//!    first [`SampleConfig::warmup`] commits absorb the cold-pipeline ramp
+//!    and their cycles are discarded; the remaining
 //!    [`SampleConfig::detail`] instructions are the **measurement**.
 //!
 //! Because windows never share mutable state, they can run in any order
-//! or concurrently — the `_with` execution variants accept a pool hook —
-//! and the merged results are bit-identical to the serial walk at any
-//! pool size. The serialized live-points are also exactly what the
+//! or concurrently — [`run_plan`] accepts a [`WindowPool`] hook — and the
+//! merged results are bit-identical to the serial walk at any pool size.
+//! The serialized live-points are also exactly what the
 //! `fgstp-tracefile` snapshot cache persists: a re-run of a swept config
 //! converts the stored [`SnapshotData`] back into a plan with
 //! [`SamplePlan::plan_replay`] and skips functional warming entirely.
@@ -41,18 +41,16 @@
 //! use fgstp_isa::trace_program;
 //! use fgstp_ooo::CoreConfig;
 //! use fgstp_mem::HierarchyConfig;
-//! use fgstp_sampling::{sample_single, SampleConfig};
+//! use fgstp_sampling::{run_plan, SampleConfig, SamplePlan};
+//! use fgstp_telemetry::NullSink;
 //! use fgstp_workloads::{by_name, Scale};
 //!
 //! let w = by_name("hmmer_dp", Scale::Test).unwrap();
 //! let trace = trace_program(w.program(), Scale::Test.trace_budget()).unwrap();
+//! let (cfg, hcfg) = (CoreConfig::small(), HierarchyConfig::small(1));
 //! let scfg = SampleConfig { interval: 2_000, warmup: 300, detail: 150 };
-//! let run = sample_single(
-//!     trace.insts(),
-//!     &CoreConfig::small(),
-//!     &HierarchyConfig::small(1),
-//!     &scfg,
-//! );
+//! let plan = SamplePlan::plan(trace.insts(), &cfg, &hcfg, &scfg);
+//! let run = run_plan(&plan, &cfg, &hcfg, None, &mut NullSink);
 //! assert!(run.detail_reduction() > 2.0);
 //! assert!(run.est_cycles() > 0.0);
 //! ```
@@ -61,11 +59,10 @@ pub mod stats;
 
 use std::collections::VecDeque;
 
-use fgstp::{run_fgstp_warm, run_fgstp_warm_with_sink, FgstpConfig};
 use fgstp_isa::DynInst;
 use fgstp_mem::{HierarchyConfig, HierarchyStats};
-use fgstp_ooo::{run_single_warm, run_single_warm_with_sink, CoreConfig, WarmRun, WarmState};
-use fgstp_telemetry::{CpiSink, CpiStack};
+use fgstp_ooo::{CoreConfig, TimingModel, WarmRun, WarmState};
+use fgstp_telemetry::{CycleSink, NullSink};
 
 pub use stats::{geomean_estimate, Estimate, Z95};
 
@@ -489,8 +486,6 @@ pub struct SampledRun {
     /// Cache-hierarchy statistics over the whole trace (functional
     /// warming traffic).
     pub mem: HierarchyStats,
-    /// Merged CPI stack over all detailed windows, when instrumented.
-    pub cpi_stack: Option<CpiStack>,
 }
 
 impl SampledRun {
@@ -548,54 +543,74 @@ impl SampledRun {
     }
 }
 
-/// Runs one window of a plan on the single-core machine, on a private
-/// deserialized copy of the window's live-point. Pure: no shared state is
-/// touched, so any number of windows may run concurrently.
+/// Runs one window of a plan on `model`, on a private deserialized copy
+/// of the window's live-point, charging every cycle (warmup included)
+/// into `sink`. Pure apart from the sink: no shared state is touched, so
+/// any number of windows may run concurrently.
 ///
 /// # Panics
 ///
 /// Panics if the live-point does not deserialize for this machine shape —
 /// impossible for plan-produced jobs, and snapshot-replayed jobs are
 /// validated up front by [`SnapshotData::validate`].
-pub fn run_window_single(job: &WindowJob, cfg: &CoreConfig, hcfg: &HierarchyConfig) -> WarmRun {
-    let mut warm = WarmState::from_state_bytes(cfg, hcfg, &job.state)
+fn run_window<M: TimingModel, S: CycleSink>(
+    job: &WindowJob,
+    model: &M,
+    hcfg: &HierarchyConfig,
+    sink: &mut S,
+) -> WarmRun {
+    let mut warm = WarmState::from_state_bytes(model.base_core(), hcfg, &job.state)
         .expect("live-point matches the plan's machine shape");
-    run_single_warm(&job.insts, cfg, &mut warm, job.measure_from)
+    model
+        .run(
+            &job.insts,
+            &mut warm,
+            job.measure_from,
+            sink,
+            &mut Vec::new(),
+        )
+        .0
 }
 
-/// Runs one window of a plan on the N-core Fg-STP machine; see
-/// [`run_window_single`].
+/// A pure per-window runner, as handed to a [`WindowPool`].
+pub type WindowExec<'a> = &'a (dyn Fn(&WindowJob) -> WarmRun + Sync);
+
+/// A window-dispatch hook: executes each pure [`WindowJob`] through the
+/// provided [`WindowExec`] — possibly concurrently — and returns the
+/// results **in job order**. `fgstp-sim` passes its worker pool here.
+/// Because the runner is pure, every order-preserving pool is
+/// bit-identical to a serial walk.
+pub type WindowPool<'a> = &'a (dyn Fn(&[WindowJob], WindowExec) -> Vec<WarmRun> + Sync);
+
+/// Executes a plan on `model` and merges the windows, in schedule order,
+/// into a [`SampledRun`]. Windows run through `pool` when one is given;
+/// an instrumented run (an enabled `sink`, which every window shares)
+/// always runs them serially, with cycle results identical to the
+/// uninstrumented path.
 ///
 /// # Panics
 ///
-/// Panics if the live-point does not deserialize for this machine shape.
-pub fn run_window_fgstp(job: &WindowJob, cfg: &FgstpConfig, hcfg: &HierarchyConfig) -> WarmRun {
-    let mut warm = WarmState::from_state_bytes(&cfg.core, hcfg, &job.state)
-        .expect("live-point matches the plan's machine shape");
-    run_fgstp_warm(&job.insts, cfg, &mut warm, job.measure_from).0
-}
-
-/// The execution hook type: given the plan's jobs and a pure per-window
-/// runner, produce one [`WarmRun`] per job **in job order**. The default
-/// is a serial map; `fgstp-sim` passes a thread-pool fan-out. Because the
-/// runner is pure, every implementation that preserves order is
-/// bit-identical.
-pub type WindowExec<'a> = &'a (dyn Fn(&WindowJob) -> WarmRun + Sync);
-
-fn serial_exec(jobs: &[WindowJob], run: WindowExec) -> Vec<WarmRun> {
-    jobs.iter().map(run).collect()
-}
-
-/// Merges per-window results into a [`SampledRun`], in schedule order.
-fn finish_plan(
+/// Panics if `hcfg` does not describe `model.cores()` cores, or the
+/// pool returns the wrong number of results.
+pub fn run_plan<M: TimingModel + Sync, S: CycleSink>(
     plan: &SamplePlan,
-    results: Vec<WarmRun>,
-    cores: u64,
-    cfg: &CoreConfig,
+    model: &M,
     hcfg: &HierarchyConfig,
-    cpi_stack: Option<CpiStack>,
+    pool: Option<WindowPool>,
+    sink: &mut S,
 ) -> SampledRun {
+    let results: Vec<WarmRun> = match pool.filter(|_| !S::ENABLED) {
+        Some(pool) => pool(&plan.jobs, &|job| {
+            run_window(job, model, hcfg, &mut NullSink)
+        }),
+        None => plan
+            .jobs
+            .iter()
+            .map(|job| run_window(job, model, hcfg, sink))
+            .collect(),
+    };
     assert_eq!(results.len(), plan.jobs.len(), "one result per window");
+    let cores = model.cores() as u64;
     let mut intervals = Vec::with_capacity(plan.jobs.len());
     let mut measured_insts = 0u64;
     let mut detailed_insts = 0u64;
@@ -610,7 +625,7 @@ fn finish_plan(
         detailed_insts += job.insts.len() as u64;
         detail_core_cycles += wr.result.cycles * cores;
     }
-    let final_warm = WarmState::from_state_bytes(cfg, hcfg, &plan.final_state)
+    let final_warm = WarmState::from_state_bytes(model.base_core(), hcfg, &plan.final_state)
         .expect("final state matches the plan's machine shape");
     let cpis: Vec<f64> = intervals.iter().map(IntervalMeasure::cpi).collect();
     SampledRun {
@@ -626,191 +641,58 @@ fn finish_plan(
         detail_core_cycles,
         branches: (final_warm.pred.branches, final_warm.pred.mispredicts),
         mem: final_warm.mem.stats(),
-        cpi_stack,
     }
-}
-
-/// Executes a plan on the single-core machine, serially.
-pub fn run_plan_single(plan: &SamplePlan, cfg: &CoreConfig, hcfg: &HierarchyConfig) -> SampledRun {
-    run_plan_single_with(plan, cfg, hcfg, serial_exec)
-}
-
-/// Executes a plan on the single-core machine through a caller-supplied
-/// execution hook (e.g. a thread pool). The hook must return results in
-/// job order; windows are pure, so results are bit-identical to
-/// [`run_plan_single`] for any pool size.
-pub fn run_plan_single_with<E>(
-    plan: &SamplePlan,
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    exec: E,
-) -> SampledRun
-where
-    E: FnOnce(&[WindowJob], WindowExec) -> Vec<WarmRun>,
-{
-    let results = exec(&plan.jobs, &|job| run_window_single(job, cfg, hcfg));
-    finish_plan(plan, results, 1, cfg, hcfg, None)
-}
-
-/// Executes a plan on the N-core Fg-STP machine, serially.
-pub fn run_plan_fgstp(plan: &SamplePlan, cfg: &FgstpConfig, hcfg: &HierarchyConfig) -> SampledRun {
-    run_plan_fgstp_with(plan, cfg, hcfg, serial_exec)
-}
-
-/// Executes a plan on the N-core Fg-STP machine through a caller-supplied
-/// execution hook; see [`run_plan_single_with`].
-pub fn run_plan_fgstp_with<E>(
-    plan: &SamplePlan,
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    exec: E,
-) -> SampledRun
-where
-    E: FnOnce(&[WindowJob], WindowExec) -> Vec<WarmRun>,
-{
-    let results = exec(&plan.jobs, &|job| run_window_fgstp(job, cfg, hcfg));
-    finish_plan(plan, results, cfg.num_cores as u64, &cfg.core, hcfg, None)
-}
-
-/// Executes a plan on the single-core machine, serially, aggregating a
-/// CPI stack over every detailed window (warmup cycles included).
-/// Instrumented runs stay serial — the sink is shared — but the windows
-/// themselves are still pure, so the cycle results match the
-/// uninstrumented path exactly.
-pub fn run_plan_single_instrumented(
-    plan: &SamplePlan,
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-) -> SampledRun {
-    let mut sink = CpiSink::new(1);
-    let results: Vec<WarmRun> = plan
-        .jobs
-        .iter()
-        .map(|job| {
-            let mut warm = WarmState::from_state_bytes(cfg, hcfg, &job.state)
-                .expect("live-point matches the plan's machine shape");
-            run_single_warm_with_sink(&job.insts, cfg, &mut warm, job.measure_from, &mut sink)
-        })
-        .collect();
-    finish_plan(plan, results, 1, cfg, hcfg, Some(sink.merged()))
-}
-
-/// Executes a plan on the N-core Fg-STP machine, serially, aggregating a
-/// CPI stack (all cores merged); see [`run_plan_single_instrumented`].
-pub fn run_plan_fgstp_instrumented(
-    plan: &SamplePlan,
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-) -> SampledRun {
-    let mut sink = CpiSink::new(cfg.num_cores);
-    let results: Vec<WarmRun> = plan
-        .jobs
-        .iter()
-        .map(|job| {
-            let mut warm = WarmState::from_state_bytes(&cfg.core, hcfg, &job.state)
-                .expect("live-point matches the plan's machine shape");
-            run_fgstp_warm_with_sink(&job.insts, cfg, &mut warm, job.measure_from, &mut sink).0
-        })
-        .collect();
-    finish_plan(
-        plan,
-        results,
-        cfg.num_cores as u64,
-        &cfg.core,
-        hcfg,
-        Some(sink.merged()),
-    )
-}
-
-/// Sampled run on a single core (or a fused Core Fusion core).
-pub fn sample_single(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, cfg, hcfg, scfg);
-    run_plan_single(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_single`], but consumes the trace as a stream (e.g. a
-/// streaming trace-file reader) without ever materializing it. Produces
-/// bit-identical results to the slice path — they share one planner.
-pub fn sample_single_stream(
-    trace: impl IntoIterator<Item = DynInst>,
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan_stream(trace, cfg, hcfg, scfg);
-    run_plan_single(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_single`], but additionally aggregates a CPI stack over
-/// every detailed window (warmup cycles included); reconcile it with
-/// [`SampledRun::detail_core_cycles`].
-pub fn sample_single_instrumented(
-    trace: &[DynInst],
-    cfg: &CoreConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, cfg, hcfg, scfg);
-    run_plan_single_instrumented(&plan, cfg, hcfg)
-}
-
-/// Sampled run on the N-core Fg-STP machine.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores.
-pub fn sample_fgstp(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, &cfg.core, hcfg, scfg);
-    run_plan_fgstp(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_fgstp`], but consumes the trace as a stream; see
-/// [`sample_single_stream`].
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores.
-pub fn sample_fgstp_stream(
-    trace: impl IntoIterator<Item = DynInst>,
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan_stream(trace, &cfg.core, hcfg, scfg);
-    run_plan_fgstp(&plan, cfg, hcfg)
-}
-
-/// Like [`sample_fgstp`], but additionally aggregates a CPI stack (all
-/// cores merged) over every detailed window.
-///
-/// # Panics
-///
-/// Panics if `hcfg` does not describe `cfg.num_cores` cores.
-pub fn sample_fgstp_instrumented(
-    trace: &[DynInst],
-    cfg: &FgstpConfig,
-    hcfg: &HierarchyConfig,
-    scfg: &SampleConfig,
-) -> SampledRun {
-    let plan = SamplePlan::plan(trace, &cfg.core, hcfg, scfg);
-    run_plan_fgstp_instrumented(&plan, cfg, hcfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgstp::FgstpConfig;
     use fgstp_isa::{assemble, trace_program, Trace};
-    use fgstp_ooo::run_single;
+    use fgstp_telemetry::{CpiSink, CpiStack};
+
+    fn run_single(
+        trace: &[DynInst],
+        cfg: &CoreConfig,
+        hcfg: &HierarchyConfig,
+    ) -> fgstp_ooo::RunResult {
+        cfg.run_cold(trace, hcfg).0
+    }
+
+    /// Plans and executes a sampled run serially, uninstrumented.
+    fn sample<M: TimingModel + Sync>(
+        trace: &[DynInst],
+        model: &M,
+        hcfg: &HierarchyConfig,
+        scfg: &SampleConfig,
+    ) -> SampledRun {
+        let plan = SamplePlan::plan(trace, model.base_core(), hcfg, scfg);
+        run_plan(&plan, model, hcfg, None, &mut NullSink)
+    }
+
+    /// Like [`sample`], over a streamed trace.
+    fn sample_stream<M: TimingModel + Sync>(
+        trace: impl IntoIterator<Item = DynInst>,
+        model: &M,
+        hcfg: &HierarchyConfig,
+        scfg: &SampleConfig,
+    ) -> SampledRun {
+        let plan = SamplePlan::plan_stream(trace, model.base_core(), hcfg, scfg);
+        run_plan(&plan, model, hcfg, None, &mut NullSink)
+    }
+
+    /// Like [`sample`], with a CPI sink shared by every window.
+    fn sample_instrumented<M: TimingModel + Sync>(
+        trace: &[DynInst],
+        model: &M,
+        hcfg: &HierarchyConfig,
+        scfg: &SampleConfig,
+    ) -> (SampledRun, CpiStack) {
+        let plan = SamplePlan::plan(trace, model.base_core(), hcfg, scfg);
+        let mut sink = CpiSink::new(model.cores());
+        let run = run_plan(&plan, model, hcfg, None, &mut sink);
+        (run, sink.merged())
+    }
 
     fn loop_trace(iters: u64) -> Trace {
         let src = format!(
@@ -856,7 +738,7 @@ mod tests {
     #[test]
     fn every_instruction_is_accounted_exactly_once() {
         let t = loop_trace(2_000);
-        let r = sample_single(
+        let r = sample(
             t.insts(),
             &CoreConfig::small(),
             &HierarchyConfig::small(1),
@@ -874,7 +756,7 @@ mod tests {
     fn sampled_estimate_tracks_the_full_run_on_a_steady_loop() {
         let t = loop_trace(2_000);
         let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-        let r = sample_single(
+        let r = sample(
             t.insts(),
             &CoreConfig::small(),
             &HierarchyConfig::small(1),
@@ -889,7 +771,7 @@ mod tests {
     fn short_trace_degenerates_to_full_detail() {
         let t = loop_trace(10);
         let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-        let r = sample_single(
+        let r = sample(
             t.insts(),
             &CoreConfig::small(),
             &HierarchyConfig::small(1),
@@ -905,7 +787,7 @@ mod tests {
     fn branch_totals_cover_the_whole_trace() {
         let t = loop_trace(2_000);
         let full = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-        let r = sample_single(
+        let r = sample(
             t.insts(),
             &CoreConfig::small(),
             &HierarchyConfig::small(1),
@@ -917,13 +799,12 @@ mod tests {
     #[test]
     fn instrumented_stack_reconciles_with_detailed_cycles() {
         let t = loop_trace(2_000);
-        let r = sample_single_instrumented(
+        let (r, stack) = sample_instrumented(
             t.insts(),
             &CoreConfig::small(),
             &HierarchyConfig::small(1),
             &scfg(),
         );
-        let stack = r.cpi_stack.as_ref().expect("instrumented");
         stack.check_against(r.detail_core_cycles).unwrap();
         assert_eq!(stack.committed, r.detailed_insts);
     }
@@ -933,8 +814,8 @@ mod tests {
         let t = loop_trace(2_000);
         let cfg = CoreConfig::small();
         let hcfg = HierarchyConfig::small(1);
-        let plain = sample_single(t.insts(), &cfg, &hcfg, &scfg());
-        let inst = sample_single_instrumented(t.insts(), &cfg, &hcfg, &scfg());
+        let plain = sample(t.insts(), &cfg, &hcfg, &scfg());
+        let (inst, _) = sample_instrumented(t.insts(), &cfg, &hcfg, &scfg());
         assert_eq!(inst.intervals, plain.intervals);
         assert_eq!(inst.detail_core_cycles, plain.detail_core_cycles);
     }
@@ -943,23 +824,22 @@ mod tests {
     fn fgstp_sampling_completes_and_reconciles() {
         let t = loop_trace(2_000);
         let cfg = FgstpConfig::small();
-        let r = sample_fgstp_instrumented(t.insts(), &cfg, &HierarchyConfig::small(2), &scfg());
+        let (r, stack) = sample_instrumented(t.insts(), &cfg, &HierarchyConfig::small(2), &scfg());
         assert_eq!(r.total_insts, t.len() as u64);
         assert!(r.est_cycles() > 0.0);
-        let stack = r.cpi_stack.as_ref().expect("instrumented");
         stack.check_against(r.detail_core_cycles).unwrap();
     }
 
     #[test]
     fn paired_speedup_uses_matching_schedules() {
         let t = loop_trace(2_000);
-        let single = sample_single(
+        let single = sample(
             t.insts(),
             &CoreConfig::small(),
             &HierarchyConfig::small(1),
             &scfg(),
         );
-        let fg = sample_fgstp(
+        let fg = sample(
             t.insts(),
             &FgstpConfig::small(),
             &HierarchyConfig::small(2),
@@ -985,8 +865,8 @@ mod tests {
             let t = loop_trace(iters);
             let cfg = CoreConfig::small();
             let hcfg = HierarchyConfig::small(1);
-            let slice = sample_single(t.insts(), &cfg, &hcfg, &scfg());
-            let stream = sample_single_stream(t.insts().iter().copied(), &cfg, &hcfg, &scfg());
+            let slice = sample(t.insts(), &cfg, &hcfg, &scfg());
+            let stream = sample_stream(t.insts().iter().copied(), &cfg, &hcfg, &scfg());
             assert_eq!(stream.total_insts, slice.total_insts);
             assert_eq!(fingerprint(&stream), fingerprint(&slice));
             assert_eq!(stream.est_cycles(), slice.est_cycles());
@@ -994,8 +874,8 @@ mod tests {
         let t = loop_trace(2_000);
         let fcfg = FgstpConfig::small();
         let hcfg = HierarchyConfig::small(2);
-        let slice = sample_fgstp(t.insts(), &fcfg, &hcfg, &scfg());
-        let stream = sample_fgstp_stream(t.insts().iter().copied(), &fcfg, &hcfg, &scfg());
+        let slice = sample(t.insts(), &fcfg, &hcfg, &scfg());
+        let stream = sample_stream(t.insts().iter().copied(), &fcfg, &hcfg, &scfg());
         assert_eq!(fingerprint(&stream), fingerprint(&slice));
         assert_eq!(stream.est_cycles(), slice.est_cycles());
     }
@@ -1033,8 +913,8 @@ mod tests {
             let warm_plan = SamplePlan::plan_replay(t.insts().iter().copied(), snap, &scfg());
             assert_eq!(warm_plan.warmed_insts, 0, "replay does no warming");
             assert!(warm_plan.snapshot_hit);
-            let cold = run_plan_single(&cold_plan, &cfg, &hcfg);
-            let warm = run_plan_single(&warm_plan, &cfg, &hcfg);
+            let cold = run_plan(&cold_plan, &cfg, &hcfg, None, &mut NullSink);
+            let warm = run_plan(&warm_plan, &cfg, &hcfg, None, &mut NullSink);
             assert_eq!(fingerprint(&warm), fingerprint(&cold), "iters {iters}");
             assert_eq!(warm.est_cycles(), cold.est_cycles());
         }
@@ -1066,21 +946,22 @@ mod tests {
         let cfg = CoreConfig::small();
         let hcfg = HierarchyConfig::small(1);
         let plan = SamplePlan::plan(t.insts(), &cfg, &hcfg, &scfg());
-        let serial = run_plan_single(&plan, &cfg, &hcfg);
+        let serial = run_plan(&plan, &cfg, &hcfg, None, &mut NullSink);
         // Run windows back to front, then restore job order — simulating
         // an arbitrary pool completion order.
-        let shuffled = run_plan_single_with(&plan, &cfg, &hcfg, |jobs, run| {
+        let reversed = |jobs: &[WindowJob], run: WindowExec| {
             let mut out: Vec<(usize, WarmRun)> =
                 jobs.iter().rev().map(|j| (j.index, run(j))).collect();
             out.sort_by_key(|(i, _)| *i);
             out.into_iter().map(|(_, wr)| wr).collect()
-        });
+        };
+        let shuffled = run_plan(&plan, &cfg, &hcfg, Some(&reversed), &mut NullSink);
         assert_eq!(fingerprint(&shuffled), fingerprint(&serial));
     }
 
     #[test]
     fn empty_trace_is_a_zero_run() {
-        let r = sample_single(
+        let r = sample(
             &[],
             &CoreConfig::small(),
             &HierarchyConfig::small(1),

@@ -3,14 +3,20 @@
 //! Subcommands:
 //!
 //! * `list` — the workload suite;
-//! * `run <workload> [machine] [scale] [--cores N] [--cpi-stack]
-//!   [--chrome-trace <path>]` — one run with full statistics; `--cores`
-//!   overrides the Fg-STP core count, `--cpi-stack` appends the cycle
-//!   accounting breakdown and `--chrome-trace` writes a Chrome
-//!   `trace_event` JSON timeline loadable in Perfetto / `chrome://tracing`;
+//! * `run <workload> [machine] [scale] [flags]` — one run with full
+//!   statistics. The flags are the [`ExperimentSpec`] vocabulary
+//!   (`--cores`, `--sample`, `--sample-interval`, `--snapshot`, ...),
+//!   parsed by [`ExperimentSpec::apply_arg`] and checked by
+//!   [`ExperimentSpec::validate`]; a value flag takes `--flag N` as well
+//!   as `--flag=N`. Two flags are CLI-local: `--cpi-stack` appends the
+//!   cycle accounting breakdown and `--chrome-trace <path>` writes a
+//!   Chrome `trace_event` JSON timeline loadable in Perfetto /
+//!   `chrome://tracing`;
 //! * `compare <workload> [scale]` — the paper's six machines side by side;
 //! * `pipeview <workload> [first..last]` — render the pipeline timeline of
-//!   a range of instructions on the small core.
+//!   a range of instructions on the small core;
+//! * `pipeview2 <workload> [first..last]` — the same for each core of the
+//!   Fg-STP machine.
 //!
 //! All functions return the output as a `String` so the logic is testable
 //! without capturing stdout (the only side effect is the `--chrome-trace`
@@ -18,15 +24,22 @@
 
 use std::fmt::Write as _;
 
-use fgstp_ooo::{run_single_recorded, PipeRecorder};
-use fgstp_sampling::SampleConfig;
-use fgstp_telemetry::{write_chrome_trace, StallCategory};
+use fgstp::FgstpConfig;
+use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::{CoreConfig, PipeRecorder, TimingModel, WarmState};
+use fgstp_telemetry::{write_chrome_trace, NullSink, StallCategory};
 use fgstp_workloads::{by_name, suite, Scale};
 
 use crate::presets::MachineKind;
 use crate::report::Table;
-use crate::runner::{run_on_instrumented_with_cores, run_on_with_cores};
-use crate::session::Session;
+use crate::runner::{run as run_machine, RunInput, RunRequest};
+use crate::spec::{parse_machine, parse_scale, ExperimentSpec, SpecError};
+
+/// The full command-line synopsis, attached to every usage error.
+const USAGE: &str = "usage: fgstpsim <list | run <workload> [machine] [scale] [--cpi-stack] \
+[--chrome-trace <path>] [--cores N] [--sample] [--sample-interval N] [--sample-warmup N] \
+[--sample-detail N] [--snapshot|--no-snapshot] | compare <workload> [scale] | \
+pipeview <workload> [first..last] | pipeview2 <workload> [first..last]>";
 
 /// Error for unknown CLI inputs, carrying a usage hint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,34 +53,15 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn parse_scale(s: Option<&str>) -> Result<Scale, CliError> {
-    match s {
-        None | Some("test") => Ok(Scale::Test),
-        Some("small") => Ok(Scale::Small),
-        Some("reference") => Ok(Scale::Reference),
-        Some(other) => Err(CliError(format!(
-            "unknown scale `{other}` (test|small|reference)"
-        ))),
+impl From<SpecError> for CliError {
+    fn from(e: SpecError) -> CliError {
+        CliError(e.to_string())
     }
 }
 
-fn parse_machine(s: Option<&str>) -> Result<MachineKind, CliError> {
-    let Some(s) = s else {
-        return Ok(MachineKind::FgstpSmall);
-    };
-    MachineKind::WITH_SCALING
-        .into_iter()
-        .find(|k| k.label() == s)
-        .ok_or_else(|| {
-            let labels: Vec<&str> = MachineKind::WITH_SCALING
-                .iter()
-                .map(|k| k.label())
-                .collect();
-            CliError(format!(
-                "unknown machine `{s}` (one of: {})",
-                labels.join(", ")
-            ))
-        })
+/// A usage error: `what` went wrong, followed by the synopsis.
+fn usage(what: &str) -> CliError {
+    CliError(format!("{what}\n{USAGE}"))
 }
 
 fn find_workload(name: &str, scale: Scale) -> Result<fgstp_workloads::Workload, CliError> {
@@ -92,105 +86,122 @@ pub fn list() -> String {
     t.to_string()
 }
 
-/// `run <workload> [machine] [scale]`. A scale word in the machine
-/// position is accepted too (`run hmmer_dp test`), since users naturally
-/// drop the machine.
-pub fn run(workload: &str, machine: Option<&str>, scale: Option<&str>) -> Result<String, CliError> {
-    run_instrumented(workload, machine, scale, None, false, None, None, true)
+/// Applies one `--flag` argument to `spec`. A value flag given bare
+/// (`--cores 2`) is joined with the next argument (`--cores=2`) before
+/// the spec sees it.
+fn apply_flag<'a>(
+    spec: &mut ExperimentSpec,
+    flag: &str,
+    rest: &mut impl Iterator<Item = &'a str>,
+) -> Result<(), CliError> {
+    if spec.apply_arg(flag)? {
+        return Ok(());
+    }
+    // The spec knows a value flag by the value it rejects or accepts.
+    let takes_value =
+        !flag.contains('=') && spec.clone().apply_arg(&format!("{flag}=")) != Ok(false);
+    if !takes_value {
+        return Err(usage(&format!("unknown flag `{flag}`")));
+    }
+    let value = rest
+        .next()
+        .ok_or_else(|| CliError(format!("{flag} needs a value")))?;
+    spec.apply_arg(&format!("{flag}={value}"))?;
+    Ok(())
 }
 
-/// `run` with the overrides and observability flags: `cores` overrides the
-/// Fg-STP core count, `cpi_stack` appends the CPI-stack breakdown,
-/// `chrome_trace` writes the per-core stall timeline as Chrome
-/// `trace_event` JSON to the given path, and `sample` switches to
-/// SMARTS-style sampled simulation (projected totals plus the interval
-/// summary; incompatible with `--cores` and `--chrome-trace`). Sampled
-/// runs use live-point snapshots when `snapshot` is set (the default):
-/// a re-run of the same configuration skips functional warming by
+/// `run <workload> [machine] [scale] [flags]` (the arguments after
+/// `run`); see the [module docs](self). The machine defaults to
+/// `fgstp-small` and the scale to `test`; a scale word in the machine
+/// position is accepted too (`run hmmer_dp test`), since users naturally
+/// drop the machine. `--telemetry` is a synonym of `--cpi-stack`.
+/// Sampled runs use live-point snapshots unless `--no-snapshot` is
+/// given: a re-run of the same configuration skips functional warming by
 /// replaying the stored warm states, bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_instrumented(
-    workload: &str,
-    machine: Option<&str>,
-    scale: Option<&str>,
-    cores: Option<usize>,
-    cpi_stack: bool,
-    chrome_trace: Option<&str>,
-    sample: Option<SampleConfig>,
-    snapshot: bool,
-) -> Result<String, CliError> {
-    let (machine, scale) = match (machine, scale) {
-        (Some(m), None) if parse_machine(Some(m)).is_err() && parse_scale(Some(m)).is_ok() => {
-            (None, Some(m))
-        }
-        other => other,
+pub fn run(args: &[&str]) -> Result<String, CliError> {
+    let mut spec = ExperimentSpec {
+        scale: Scale::Test,
+        machines: Vec::new(),
+        ..ExperimentSpec::default()
     };
-    let scale = parse_scale(scale)?;
-    let kind = parse_machine(machine)?;
-    if cores.is_some() && !kind.is_fgstp() {
-        return Err(CliError(format!(
-            "--cores only applies to Fg-STP machines, not {kind}"
-        )));
-    }
-    if cores == Some(0) {
-        return Err(CliError("--cores needs at least one core".to_owned()));
-    }
-    if let Some(s) = &sample {
-        if cores.is_some() {
-            return Err(CliError(
-                "--cores cannot be combined with --sample".to_owned(),
-            ));
-        }
-        if chrome_trace.is_some() {
-            return Err(CliError(
-                "--chrome-trace is not available under --sample (no episode timeline)".to_owned(),
-            ));
-        }
-        if s.detail == 0 {
-            return Err(CliError(
-                "--sample-detail needs at least one instruction".to_owned(),
-            ));
-        }
-        if s.warmup + s.detail > s.interval {
-            return Err(CliError(format!(
-                "sample warmup ({}) + detail ({}) must fit in the interval ({})",
-                s.warmup, s.detail, s.interval
-            )));
+    let mut chrome_trace: Option<&str> = None;
+    let mut positional: Vec<&str> = Vec::new();
+    let mut it = args.iter().copied();
+    while let Some(a) = it.next() {
+        match a {
+            "--cpi-stack" => spec.telemetry = true,
+            "--chrome-trace" => {
+                let path = it.next();
+                chrome_trace = Some(
+                    path.ok_or_else(|| CliError("--chrome-trace needs an output path".into()))?,
+                );
+            }
+            _ if a.starts_with("--chrome-trace=") => {
+                chrome_trace = a.strip_prefix("--chrome-trace=");
+            }
+            _ if a.starts_with("--") => apply_flag(&mut spec, a, &mut it)?,
+            _ => positional.push(a),
         }
     }
-    let w = find_workload(workload, scale)?;
-    let session = Session::new().scale(scale);
-    let trace = session.trace(&w);
-    let instrumented = cpi_stack || chrome_trace.is_some();
-    let (r, episodes, snap_stats) = if let Some(scfg) = &sample {
-        // The session path gives sampled runs the full live-point
-        // machinery: snapshot load/store and parallel window dispatch.
-        let session = session
-            .clone()
-            .machines([kind])
-            .sample(*scfg)
-            .telemetry(cpi_stack)
-            .snapshots(snapshot);
-        let mut bench = session.run_workload(&w);
-        let r = bench.runs.pop().expect("one machine yields one run");
-        (r, Vec::new(), Some(session.snapshot_stats()))
-    } else if instrumented {
-        let (r, ep) =
-            run_on_instrumented_with_cores(kind, trace.insts(), chrome_trace.is_some(), cores);
-        (r, ep, None)
+    if !spec.workloads.is_empty() {
+        return Err(usage(
+            "run names its workload positionally, not with --workloads",
+        ));
+    }
+    let (workload, machine, scale) = match positional.as_slice() {
+        [] => return Err(usage("run needs a workload")),
+        [w] => (w, None, None),
+        [w, word] if parse_scale(word).is_ok() => (w, None, Some(word)),
+        [w, m] => (w, Some(m), None),
+        [w, m, scale] => (w, Some(m), Some(scale)),
+        [_, _, _, extra, ..] => return Err(usage(&format!("unexpected argument `{extra}`"))),
+    };
+    if let Some(m) = machine {
+        if !spec.machines.is_empty() {
+            return Err(usage(
+                "the machine is given twice (positionally and by --machines)",
+            ));
+        }
+        spec.machines = vec![parse_machine(m)?];
+    }
+    if let Some(word) = scale {
+        spec.scale = parse_scale(word)?;
+    }
+    if spec.machines.is_empty() {
+        spec.machines = vec![MachineKind::FgstpSmall];
+    }
+    let &[kind] = spec.machines.as_slice() else {
+        return Err(usage("run takes exactly one machine"));
+    };
+    spec.workloads = vec![(*workload).to_owned()];
+    if chrome_trace.is_some() && spec.sample.is_some() {
+        return Err(CliError(
+            "--chrome-trace is not available under --sample (no episode timeline)".to_owned(),
+        ));
+    }
+    spec.validate()?;
+    let w = find_workload(workload, spec.scale)?;
+    let session = spec.session();
+    let r = if chrome_trace.is_some() {
+        let trace = session.try_trace(&w).map_err(CliError)?;
+        let req = RunRequest {
+            cores: spec.cores,
+            episodes: true,
+            ..RunRequest::default()
+        };
+        run_machine(kind, RunInput::Trace(trace.insts()), &req)
     } else {
-        (
-            run_on_with_cores(kind, trace.insts(), cores),
-            Vec::new(),
-            None,
-        )
+        let mut bench = session.run_workload(&w);
+        if let Some(e) = bench.error {
+            return Err(CliError(e));
+        }
+        bench.runs.pop().expect("one machine yields one run")
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "workload:  {} ({} dynamic instructions)",
-        w.name,
-        trace.len()
+        w.name, r.result.committed
     );
     let _ = writeln!(out, "machine:   {kind}");
     let _ = writeln!(out, "cycles:    {}", r.result.cycles);
@@ -232,14 +243,13 @@ pub fn run_instrumented(
             s.total_insts,
             s.detail_reduction()
         );
-        if let Some(st) = &snap_stats {
-            let source = if st.hits > 0 { "replayed" } else { "stored" };
-            let _ = writeln!(
-                out,
-                "live-points: {} hit / {} miss ({source}), {} insts warmed",
-                st.hits, st.misses, st.warmed_insts
-            );
-        }
+        let st = session.snapshot_stats();
+        let source = if st.hits > 0 { "replayed" } else { "stored" };
+        let _ = writeln!(
+            out,
+            "live-points: {} hit / {} miss ({source}), {} insts warmed",
+            st.hits, st.misses, st.warmed_insts
+        );
     }
     for (i, c) in r.result.cores.iter().enumerate() {
         let _ = writeln!(
@@ -268,7 +278,7 @@ pub fn run_instrumented(
             100.0 * s.partition.comms_per_inst(),
         );
     }
-    if cpi_stack {
+    if spec.telemetry {
         let stack = r.cpi.as_ref().expect("instrumented run has a stack");
         let _ = writeln!(out, "\ncpi stack (aggregate core-cycles/inst):");
         let mut t = Table::new(["component", "cpi", "share"]);
@@ -299,13 +309,13 @@ pub fn run_instrumented(
         let _ = write!(out, "{t}");
     }
     if let Some(path) = chrome_trace {
-        let json = write_chrome_trace(kind.label(), &episodes);
+        let json = write_chrome_trace(kind.label(), &r.episodes);
         std::fs::write(path, &json)
             .map_err(|e| CliError(format!("cannot write chrome trace to {path}: {e}")))?;
         let _ = writeln!(
             out,
             "\nchrome trace: {path} ({} events, load in Perfetto or chrome://tracing)",
-            episodes.len()
+            r.episodes.len()
         );
     }
     Ok(out)
@@ -314,10 +324,13 @@ pub fn run_instrumented(
 /// `compare <workload> [scale]`: all machines side by side (run in
 /// parallel by the session's worker pool).
 pub fn compare(workload: &str, scale: Option<&str>) -> Result<String, CliError> {
-    let scale = parse_scale(scale)?;
-    let w = find_workload(workload, scale)?;
-    let session = Session::new().scale(scale).machines(MachineKind::ALL);
-    let bench = session.run_workload(&w);
+    let spec = ExperimentSpec {
+        scale: parse_scale(scale.unwrap_or("test"))?,
+        machines: MachineKind::ALL.to_vec(),
+        ..ExperimentSpec::default()
+    };
+    let w = find_workload(workload, spec.scale)?;
+    let bench = spec.session().run_workload(&w);
     let base = &bench
         .run_of(MachineKind::SingleSmall)
         .expect("ALL includes single-small")
@@ -337,18 +350,30 @@ pub fn compare(workload: &str, scale: Option<&str>) -> Result<String, CliError> 
     ))
 }
 
+/// A cold run of `workload` at test scale on `model` with one pipeline
+/// recorder per core, each keeping instructions up to `to`.
+fn recorded<M: TimingModel>(
+    workload: &str,
+    model: &M,
+    to: u64,
+) -> Result<(M::Stats, Vec<PipeRecorder>), CliError> {
+    let w = find_workload(workload, Scale::Test)?;
+    let trace = crate::Session::new()
+        .scale(Scale::Test)
+        .try_trace(&w)
+        .map_err(CliError)?;
+    let n = model.cores();
+    let mut warm = WarmState::new(model.base_core(), &HierarchyConfig::small(n));
+    let mut recs = (0..n).map(|_| PipeRecorder::with_limit(to)).collect();
+    let (_, stats) = model.run(trace.insts(), &mut warm, 0, &mut NullSink, &mut recs);
+    Ok((stats, recs))
+}
+
 /// `pipeview <workload> [first..last]`: timeline on the small core.
 pub fn pipeview(workload: &str, range: Option<&str>) -> Result<String, CliError> {
     let (from, to) = parse_range(range)?;
-    let w = find_workload(workload, Scale::Test)?;
-    let trace = Session::new().scale(Scale::Test).trace(&w);
-    let (_, rec) = run_single_recorded(
-        trace.insts(),
-        &fgstp_ooo::CoreConfig::small(),
-        &fgstp_mem::HierarchyConfig::small(1),
-        Some(PipeRecorder::with_limit(to)),
-    );
-    Ok(rec.expect("recorder attached").render(from, to))
+    let (_, recs) = recorded(workload, &CoreConfig::small(), to)?;
+    Ok(recs[0].render(from, to))
 }
 
 /// `pipeview2 <workload> [first..last]`: side-by-side per-core timeline of
@@ -356,18 +381,7 @@ pub fn pipeview(workload: &str, range: Option<&str>) -> Result<String, CliError>
 /// appear on every core holding a copy).
 pub fn pipeview2(workload: &str, range: Option<&str>) -> Result<String, CliError> {
     let (from, to) = parse_range(range)?;
-    let w = find_workload(workload, Scale::Test)?;
-    let trace = Session::new().scale(Scale::Test).trace(&w);
-    let cfg = fgstp::FgstpConfig::small();
-    let recorders = (0..cfg.num_cores)
-        .map(|_| PipeRecorder::with_limit(to))
-        .collect();
-    let (_, stats, recs) = fgstp::run_fgstp_recorded(
-        trace.insts(),
-        &cfg,
-        &fgstp_mem::HierarchyConfig::small(cfg.num_cores),
-        Some(recorders),
-    );
+    let (stats, recs) = recorded(workload, &FgstpConfig::small(), to)?;
     let per_core: Vec<String> = stats.partition.insts.iter().map(u64::to_string).collect();
     let mut out = format!(
         "partition: {} instructions, {} replicated, {} communications\n",
@@ -375,20 +389,10 @@ pub fn pipeview2(workload: &str, range: Option<&str>) -> Result<String, CliError
         stats.partition.replicated,
         stats.partition.cross_reg_deps,
     );
-    for (i, rec) in recs.expect("recorders attached").iter().enumerate() {
+    for (i, rec) in recs.iter().enumerate() {
         let _ = write!(out, "\n--- core {i} ---\n{}", rec.render(from, to));
     }
     Ok(out)
-}
-
-/// Pulls the value of a `--sample-*` count flag off the argument stream.
-fn parse_count_flag(it: &mut std::slice::Iter<'_, &str>, flag: &str) -> Result<u64, CliError> {
-    let v = it
-        .next()
-        .copied()
-        .ok_or_else(|| CliError(format!("{flag} needs an instruction count")))?;
-    v.parse()
-        .map_err(|_| CliError(format!("bad {flag} value `{v}`")))
 }
 
 fn parse_range(range: Option<&str>) -> Result<(u64, u64), CliError> {
@@ -417,69 +421,11 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
     match strs.as_slice() {
         ["list"] => Ok(list()),
-        ["run", w, rest @ ..] => {
-            let mut cpi_stack = false;
-            let mut chrome_trace: Option<&str> = None;
-            let mut cores: Option<usize> = None;
-            let mut sample = false;
-            let mut snapshot = true;
-            let mut scfg = SampleConfig::default();
-            let mut positional: Vec<&str> = Vec::new();
-            let mut it = rest.iter();
-            while let Some(&a) = it.next() {
-                match a {
-                    "--cpi-stack" => cpi_stack = true,
-                    "--snapshot" => snapshot = true,
-                    "--no-snapshot" => snapshot = false,
-                    "--chrome-trace" => {
-                        chrome_trace = Some(it.next().copied().ok_or_else(|| {
-                            CliError("--chrome-trace needs an output path".to_owned())
-                        })?);
-                    }
-                    "--cores" => {
-                        let n = it
-                            .next()
-                            .copied()
-                            .ok_or_else(|| CliError("--cores needs a count".to_owned()))?;
-                        cores = Some(
-                            n.parse()
-                                .map_err(|_| CliError(format!("bad core count `{n}`")))?,
-                        );
-                    }
-                    "--sample" => sample = true,
-                    "--sample-interval" => {
-                        scfg.interval = parse_count_flag(&mut it, a)?;
-                        sample = true;
-                    }
-                    "--sample-warmup" => {
-                        scfg.warmup = parse_count_flag(&mut it, a)?;
-                        sample = true;
-                    }
-                    "--sample-detail" => {
-                        scfg.detail = parse_count_flag(&mut it, a)?;
-                        sample = true;
-                    }
-                    _ => positional.push(a),
-                }
-            }
-            run_instrumented(
-                w,
-                positional.first().copied(),
-                positional.get(1).copied(),
-                cores,
-                cpi_stack,
-                chrome_trace,
-                sample.then_some(scfg),
-                snapshot,
-            )
-        }
+        ["run", rest @ ..] if !rest.is_empty() => run(rest),
         ["compare", w, rest @ ..] => compare(w, rest.first().copied()),
         ["pipeview", w, rest @ ..] => pipeview(w, rest.first().copied()),
         ["pipeview2", w, rest @ ..] => pipeview2(w, rest.first().copied()),
-        _ => Err(CliError(
-            "usage: fgstpsim <list | run <workload> [machine] [scale] [--cores N] [--cpi-stack] [--chrome-trace <path>] [--sample] [--sample-interval N] [--sample-warmup N] [--sample-detail N] [--snapshot|--no-snapshot] | compare <workload> [scale] | pipeview <workload> [first..last] | pipeview2 <workload> [first..last]>"
-                .to_owned(),
-        )),
+        _ => Err(CliError(USAGE.to_owned())),
     }
 }
 
@@ -497,7 +443,7 @@ mod tests {
 
     #[test]
     fn run_prints_core_stats() {
-        let out = run("perl_hash", Some("fgstp-small"), Some("test")).unwrap();
+        let out = run(&["perl_hash", "fgstp-small", "test"]).unwrap();
         assert!(out.contains("core 0:"));
         assert!(out.contains("core 1:"));
         assert!(out.contains("partition:"));
@@ -505,15 +451,15 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_inputs() {
-        assert!(run("nope", None, None).is_err());
-        assert!(run("perl_hash", Some("nope"), None).is_err());
-        assert!(run("perl_hash", None, Some("nope")).is_err());
+        assert!(run(&["nope"]).is_err());
+        assert!(run(&["perl_hash", "nope"]).is_err());
+        assert!(run(&["perl_hash", "fgstp-small", "nope"]).is_err());
     }
 
     #[test]
     fn run_accepts_scale_in_the_machine_position() {
         // `fgstpsim run <workload> test` — users naturally drop the machine.
-        let out = run("perl_hash", Some("test"), None).unwrap();
+        let out = run(&["perl_hash", "test"]).unwrap();
         assert!(out.contains("fgstp-small"), "default machine used: {out}");
     }
 
@@ -609,20 +555,8 @@ mod tests {
 
     #[test]
     fn cores_flag_rejects_bad_inputs() {
-        assert!(run_instrumented(
-            "hmmer_dp",
-            Some("single-small"),
-            None,
-            Some(2),
-            false,
-            None,
-            None,
-            true
-        )
-        .is_err());
-        assert!(
-            run_instrumented("hmmer_dp", None, None, Some(0), false, None, None, true).is_err()
-        );
+        assert!(run(&["hmmer_dp", "single-small", "--cores", "2"]).is_err());
+        assert!(run(&["hmmer_dp", "--cores", "0"]).is_err());
         let e = dispatch(&["run".into(), "hmmer_dp".into(), "--cores".into()]);
         assert!(e.is_err());
         let e = dispatch(&[
@@ -809,16 +743,7 @@ mod tests {
     #[test]
     fn cores_machine_matrix() {
         for kind in MachineKind::ALL {
-            let r = run_instrumented(
-                "hmmer_dp",
-                Some(kind.label()),
-                Some("test"),
-                Some(2),
-                false,
-                None,
-                None,
-                true,
-            );
+            let r = run(&["hmmer_dp", kind.label(), "test", "--cores", "2"]);
             if kind.is_fgstp() {
                 assert!(r.is_ok(), "{}: {r:?}", kind.label());
             } else {
@@ -826,15 +751,54 @@ mod tests {
                 assert!(e.0.contains("--cores"), "{}", e.0);
             }
         }
-        let e =
-            run_instrumented("hmmer_dp", None, None, Some(0), false, None, None, true).unwrap_err();
+        let e = run(&["hmmer_dp", "--cores", "0"]).unwrap_err();
         assert!(e.0.contains("at least one core"), "{}", e.0);
     }
 
     #[test]
     fn scaling_presets_are_reachable_by_label() {
-        let out = run("hmmer_dp", Some("fgstp-small-4"), Some("test")).unwrap();
+        let out = run(&["hmmer_dp", "fgstp-small-4", "test"]).unwrap();
         assert!(out.contains("core 3:"), "{out}");
         assert!(out.contains("fgstp-small-4"), "{out}");
+    }
+
+    /// Nothing on the command line is dropped: an unknown flag, an extra
+    /// positional or a doubly-given machine or workload fails with the
+    /// usage message instead of being ignored.
+    #[test]
+    fn run_rejects_unknown_flags_and_extra_positionals() {
+        for args in [
+            &["perl_hash", "fgstp-small", "test", "--cpi-stak"][..],
+            &["perl_hash", "--cpi-stak"],
+            &["perl_hash", "--bogus=3"],
+            &["perl_hash", "fgstp-small", "test", "extra"],
+            // Positionals and their flag spellings may not disagree silently.
+            &["perl_hash", "fgstp-small", "--machines=single-small"],
+            &["perl_hash", "--workloads=hmmer_dp"],
+        ] {
+            let e = run(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(e.0.contains("usage: fgstpsim"), "{args:?}: {}", e.0);
+        }
+        let e = run(&["perl_hash", "--cpi-stak"]).unwrap_err();
+        assert!(e.0.contains("`--cpi-stak`"), "{}", e.0);
+        let e = run(&["perl_hash", "fgstp-small", "test", "extra"]).unwrap_err();
+        assert!(e.0.contains("`extra`"), "{}", e.0);
+    }
+
+    /// Value flags take `--flag N` and `--flag=N` alike, with identical
+    /// output.
+    #[test]
+    fn value_flags_accept_both_spellings() {
+        let joined = run(&["hmmer_dp", "--cores=3"]).unwrap();
+        let split = run(&["hmmer_dp", "--cores", "3"]).unwrap();
+        assert!(joined.contains("core 2:"), "{joined}");
+        assert_eq!(joined, split);
+        let joined = run(&["hmmer_dp", "--sample-interval=3000"]).unwrap();
+        assert!(joined.contains("sampling:  interval 3000"), "{joined}");
+        let path = std::env::temp_dir().join(format!("fgstp-cli-eq-{}.json", std::process::id()));
+        let flag = format!("--chrome-trace={}", path.to_str().unwrap());
+        let out = run(&["perl_hash", &flag]).unwrap();
+        assert!(out.contains("chrome trace:"), "{out}");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -51,10 +51,12 @@
 //! # let _ = results;
 //! ```
 //!
-//! The per-trace primitives ([`run_on`], [`runner::trace_workload`]) and
-//! the historical [`run_suite`] free function remain available; the latter
-//! is a thin shim over a default `Session`. Table rendering for the
-//! experiment harness lives in [`report`].
+//! Every run — session job, CLI command, experiment point — goes through
+//! [`run`]: one machine preset, one [`RunInput`] (a trace, or a sampled
+//! plan) and one [`RunRequest`] (core override, telemetry, window pool).
+//! [`run_on`] is its full-detail shorthand, and the historical
+//! [`run_suite`] free function is a thin shim over a default `Session`.
+//! Table rendering for the experiment harness lives in [`report`].
 
 pub mod cli;
 pub mod energy;
@@ -65,15 +67,14 @@ pub mod runner;
 pub mod session;
 pub mod spec;
 
-pub use fgstp_sampling::{geomean_estimate, Estimate, SampleConfig, SampledRun};
+pub use fgstp_sampling::{geomean_estimate, Estimate, SampleConfig, SamplePlan, SampledRun};
 pub use fgstp_telemetry::{write_chrome_trace, CpiStack, Episode, StallCategory};
 pub use fgstp_workloads::{Scale, SuiteClass, Workload};
 pub use presets::MachineKind;
 pub use report::{cpi_stack_table, speedup_table, SpeedupSummary, Table};
 pub use runner::{
-    geomean, run_on, run_on_corun, run_on_instrumented, run_on_instrumented_with_cores,
-    run_on_sampled, run_on_sampled_stream, run_on_with_cores, run_suite, BenchResult, CoRunInfo,
-    MachineRun, WindowPool,
+    geomean, run, run_on, run_on_corun, run_on_sampled_plan, run_suite, BenchResult, CoRunInfo,
+    MachineRun, RunInput, RunRequest, WindowPool,
 };
 pub use session::{CacheStats, RunPlan, Session, SnapshotStats, TraceStream, TraceStreamIter};
 pub use spec::{CoRunProgramSpec, CoRunSpec, ExperimentSpec, SpecError, SpecErrorKind};

@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn cpi_stack_table_rows_reconcile_with_cpi() {
-        use crate::runner::{run_on_instrumented, trace_workload};
+        use crate::runner::{run, trace_workload, RunInput, RunRequest};
         use fgstp_workloads::{by_name, Scale};
 
         let w = by_name("gcc_expr", Scale::Test).unwrap();
@@ -331,7 +331,14 @@ mod tests {
         let results = vec![BenchResult {
             name: w.name,
             committed: t.len() as u64,
-            runs: vec![run_on_instrumented(MachineKind::FgstpSmall, t.insts(), false).0],
+            runs: vec![run(
+                MachineKind::FgstpSmall,
+                RunInput::Trace(t.insts()),
+                &RunRequest {
+                    telemetry: true,
+                    ..RunRequest::default()
+                },
+            )],
             error: None,
         }];
         let table = cpi_stack_table(&results, MachineKind::FgstpSmall);

@@ -1,36 +1,28 @@
-//! Low-level run primitives: one trace through one machine model.
+//! Run primitives: one trace (or one sampled plan) through one machine
+//! preset.
 //!
 //! The primary driver API is [`crate::Session`] — it owns tracing, the
-//! on-disk trace cache and the worker pool. This module keeps the
-//! per-trace primitives the session is built from ([`run_on`],
-//! [`trace_workload`]) plus the result types, and retains the historical
-//! free functions ([`run_suite`]) as thin compatibility shims over a
-//! default session.
+//! on-disk trace cache and the worker pool. A session reads its knobs
+//! into one [`RunRequest`] and hands every job to [`run`], the single
+//! request-driven entry point: it resolves the preset (and any core-count
+//! override) to a [`TimingModel`], attaches the requested sink, and runs
+//! the input — a trace in full detail or a [`SamplePlan`]'s windows.
+//! Co-runs go through [`run_on_corun`]. [`run_on`],
+//! [`run_on_sampled_plan`] and the historical [`run_suite`] are thin
+//! shims.
 
-use fgstp::{
-    run_corun, run_fgstp, run_fgstp_with_sink, CoRunContention, CoRunPlan, CoRunProgram, FgstpStats,
-};
-use fgstp_isa::{DynInst, Trace};
+use fgstp::{run_corun, CoRunContention, CoRunPlan, CoRunProgram, FgstpConfig, FgstpStats};
+use fgstp_isa::DynInst;
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::CoreConfig;
-use fgstp_ooo::{run_single, run_single_with_sink, RunResult, WarmRun};
-use fgstp_sampling::{
-    run_plan_fgstp_instrumented, run_plan_fgstp_with, run_plan_single_instrumented,
-    run_plan_single_with, sample_fgstp, sample_fgstp_instrumented, sample_fgstp_stream,
-    sample_single, sample_single_instrumented, sample_single_stream, SampleConfig, SamplePlan,
-    SampledRun, WindowExec, WindowJob,
-};
-use fgstp_telemetry::{CpiSink, CpiStack, Episode};
+use fgstp_ooo::{CoreConfig, PipeRecorder, RunResult, TimingModel, WarmRun, WarmState};
+use fgstp_sampling::{run_plan, SamplePlan, SampledRun};
+use fgstp_telemetry::{CpiSink, CpiStack, CycleSink, Episode, NullSink};
 use fgstp_workloads::{Scale, Workload};
 
 use crate::presets::MachineKind;
 use crate::session::Session;
 
-/// A window-dispatch hook for sampled runs: executes each pure
-/// [`WindowJob`] through the provided [`WindowExec`] — possibly
-/// concurrently — and returns the results in job order. The session
-/// passes its worker pool here; `None` runs the windows serially.
-pub type WindowPool<'a> = &'a (dyn Fn(&[WindowJob], WindowExec) -> Vec<WarmRun> + Sync);
+pub use fgstp_sampling::WindowPool;
 
 /// Where one program sat inside a co-run (see [`run_on_corun`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +53,14 @@ pub struct MachineRun {
     /// Fg-STP-specific statistics, when `kind` is an Fg-STP preset.
     pub fgstp: Option<FgstpStats>,
     /// Aggregate CPI stack (all cores merged), when the run was
-    /// instrumented (see [`run_on_instrumented`] and
-    /// [`Session::telemetry`]).
+    /// instrumented ([`RunRequest::telemetry`], [`Session::telemetry`]).
     pub cpi: Option<CpiStack>,
-    /// The sampled-simulation record, when the run came from
-    /// [`run_on_sampled`] (or [`Session::sample`]): interval schedule, CPI
+    /// The per-core stall timeline, when requested
+    /// ([`RunRequest::episodes`]; for
+    /// [`fgstp_telemetry::write_chrome_trace`] export). Empty otherwise.
+    pub episodes: Vec<Episode>,
+    /// The sampled-simulation record, when the run came from a
+    /// [`RunInput::Plan`] (or [`Session::sample`]): interval schedule, CPI
     /// estimate with its 95% confidence interval, and detail-reduction
     /// accounting. `result` then carries *projected* totals.
     pub sampled: Option<SampledRun>,
@@ -128,154 +123,77 @@ impl BenchResult {
     }
 }
 
-/// Runs one trace through one machine preset.
-pub fn run_on(kind: MachineKind, trace: &[DynInst]) -> MachineRun {
-    run_on_with_cores(kind, trace, None)
+/// A machine preset resolved to its timing model, after any core-count
+/// override. Dispatching here once per run keeps every per-cycle loop
+/// monomorphic.
+#[derive(Debug, Clone)]
+pub(crate) enum Model {
+    /// A single (possibly fused) core.
+    Single(CoreConfig),
+    /// The N-core Fg-STP machine.
+    Fgstp(FgstpConfig),
 }
 
-/// Like [`run_on`], but overrides the Fg-STP core count when `cores` is
-/// set (the CLI `--cores` flag and the E13 scaling sweep).
-///
-/// # Panics
-///
-/// Panics if `cores` is set for a non-Fg-STP preset (those machines have a
-/// fixed shape).
-pub fn run_on_with_cores(kind: MachineKind, trace: &[DynInst], cores: Option<usize>) -> MachineRun {
-    if let Some(mut cfg) = kind.try_fgstp_config() {
-        if let Some(n) = cores {
-            cfg = cfg.with_cores(n);
+impl TimingModel for Model {
+    type Stats = Option<FgstpStats>;
+
+    fn cores(&self) -> usize {
+        match self {
+            Model::Single(c) => c.cores(),
+            Model::Fgstp(f) => f.cores(),
         }
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        let (result, stats) = run_fgstp(trace, &cfg, &hcfg);
-        MachineRun {
-            kind,
-            result,
-            fgstp: Some(stats),
-            cpi: None,
-            sampled: None,
-            corun: None,
+    }
+
+    fn base_core(&self) -> &CoreConfig {
+        match self {
+            Model::Single(c) => c,
+            Model::Fgstp(f) => f.base_core(),
         }
-    } else {
-        assert!(
-            cores.is_none(),
-            "--cores only applies to Fg-STP machines, not {kind}"
-        );
-        let result = run_single(trace, &kind.core_config(), &kind.hierarchy_config());
-        MachineRun {
-            kind,
-            result,
-            fgstp: None,
-            cpi: None,
-            sampled: None,
-            corun: None,
+    }
+
+    fn run<S: CycleSink>(
+        &self,
+        trace: &[DynInst],
+        warm: &mut WarmState,
+        measure_from: u64,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> (WarmRun, Option<FgstpStats>) {
+        match self {
+            Model::Single(c) => (c.run(trace, warm, measure_from, sink, recorders).0, None),
+            Model::Fgstp(f) => {
+                let (wr, stats) = f.run(trace, warm, measure_from, sink, recorders);
+                (wr, Some(stats))
+            }
         }
     }
 }
 
-/// Runs a multi-program co-run on one Fg-STP machine preset: program `i`
-/// is `workloads[i]`/`traces[i]` on `cores[i]` consecutive chip cores (see
-/// [`fgstp::run_corun`] for the arbitration and determinism contracts).
-/// With `isolated` every program instead gets a private hierarchy and
-/// reproduces its solo cycle count exactly.
-///
-/// Returns one [`BenchResult`] per program, in plan order, each holding a
-/// single [`MachineRun`] whose [`MachineRun::corun`] records the
-/// placement; `result.mem` is the program's slice of the shared hierarchy
-/// (its L1s plus its requestor share of L2/DRAM traffic).
+/// Resolves `kind` to its timing model and hierarchy, with the Fg-STP
+/// core count overridden when `cores` is set.
 ///
 /// # Panics
 ///
-/// Panics if `kind` is not an Fg-STP preset or the slice lengths disagree
-/// — `--corun` specs are validated upstream by
-/// [`crate::ExperimentSpec::validate`].
-pub fn run_on_corun(
-    kind: MachineKind,
-    workloads: &[Workload],
-    traces: &[Trace],
-    cores: &[usize],
-    isolated: bool,
-) -> Vec<BenchResult> {
-    assert!(
-        workloads.len() == traces.len() && traces.len() == cores.len(),
-        "one workload, trace and core count per co-running program"
-    );
-    let base = kind
-        .try_fgstp_config()
-        .unwrap_or_else(|| panic!("--corun needs an Fg-STP machine, not {kind}"));
-    let plan = CoRunPlan {
-        programs: cores
-            .iter()
-            .map(|&n| CoRunProgram::new(base.clone().with_cores(n)))
-            .collect(),
-        contention: if isolated {
-            CoRunContention::isolated()
-        } else {
-            CoRunContention::shared()
-        },
-    };
-    let hcfg = kind.hierarchy_for(plan.total_cores());
-    let insts: Vec<&[DynInst]> = traces.iter().map(|t| t.insts()).collect();
-    let co = run_corun(&insts, &plan, &hcfg);
-    workloads
-        .iter()
-        .zip(traces)
-        .zip(co.programs)
-        .enumerate()
-        .map(|(i, ((w, t), p))| BenchResult {
-            name: w.name,
-            committed: t.len() as u64,
-            runs: vec![MachineRun {
-                kind,
-                fgstp: Some(p.stats),
-                cpi: None,
-                sampled: None,
-                corun: Some(CoRunInfo {
-                    program: i,
-                    first_core: p.first_core,
-                    cores: cores[i],
-                    start_cycle: p.start_cycle,
-                    finish_cycle: p.finish_cycle,
-                    total_cycles: co.total_cycles,
-                    isolated,
-                }),
-                result: p.result,
-            }],
-            error: None,
-        })
-        .collect()
-}
-
-/// Runs one trace through one machine preset under SMARTS-style systematic
-/// sampling (see [`fgstp_sampling`]): most of the trace retires through
-/// functional warming, and only periodic windows run on the detailed
-/// machine. The returned [`MachineRun::result`] carries *projected* totals
-/// — `cycles` is the rounded CPI-estimate projection, `committed` the full
-/// trace length — while [`MachineRun::sampled`] holds the interval record
-/// and confidence interval. With `telemetry` the merged CPI stack over the
-/// detailed windows lands in [`MachineRun::cpi`].
-pub fn run_on_sampled(
-    kind: MachineKind,
-    trace: &[DynInst],
-    scfg: &SampleConfig,
-    telemetry: bool,
-) -> MachineRun {
-    let sampled = if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        if telemetry {
-            sample_fgstp_instrumented(trace, &cfg, &hcfg, scfg)
-        } else {
-            sample_fgstp(trace, &cfg, &hcfg, scfg)
+/// Panics if `cores` is set for a non-Fg-STP preset (those machines have a
+/// fixed shape) — [`crate::ExperimentSpec::validate`] rejects that upstream.
+pub(crate) fn resolve(kind: MachineKind, cores: Option<usize>) -> (Model, HierarchyConfig) {
+    match kind.try_fgstp_config() {
+        Some(cfg) => {
+            let cfg = match cores {
+                Some(n) => cfg.with_cores(n),
+                None => cfg,
+            };
+            let hcfg = kind.hierarchy_for(cfg.num_cores);
+            (Model::Fgstp(cfg), hcfg)
         }
-    } else {
-        let ccfg = kind.core_config();
-        let hcfg = kind.hierarchy_config();
-        if telemetry {
-            sample_single_instrumented(trace, &ccfg, &hcfg, scfg)
-        } else {
-            sample_single(trace, &ccfg, &hcfg, scfg)
+        None => {
+            assert!(
+                cores.is_none(),
+                "--cores only applies to Fg-STP machines, not {kind}"
+            );
+            (Model::Single(kind.core_config()), kind.hierarchy_config())
         }
-    };
-    sampled_machine_run(kind, sampled)
+    }
 }
 
 /// The functional-warming machine shape a preset samples with: the core
@@ -284,32 +202,111 @@ pub fn run_on_sampled(
 /// are keyed on a fingerprint of this shape, so a preset change orphans
 /// its stored snapshots instead of replaying them on the wrong machine.
 pub fn warm_shape(kind: MachineKind) -> (CoreConfig, HierarchyConfig) {
-    if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        (cfg.core, hcfg)
+    let (model, hcfg) = resolve(kind, None);
+    (model.base_core().clone(), hcfg)
+}
+
+/// What one run simulates.
+#[derive(Debug, Clone, Copy)]
+pub enum RunInput<'a> {
+    /// A committed-path trace, simulated in full detail.
+    Trace(&'a [DynInst]),
+    /// A planned sampled run: its detailed windows run on the machine and
+    /// merge into projected totals (see [`fgstp_sampling`]).
+    Plan(&'a SamplePlan),
+}
+
+/// How one run is set up and observed. A [`Session`] reads its knobs
+/// into one request and hands every job to [`run`].
+#[derive(Clone, Copy, Default)]
+pub struct RunRequest<'a> {
+    /// Fg-STP core-count override (the `--cores` flag, the E13 scaling
+    /// sweep, a co-run program's core slice).
+    pub cores: Option<usize>,
+    /// Charge every cycle into a CPI stack, merged over cores into
+    /// [`MachineRun::cpi`]. A sampled run's stack covers its detailed
+    /// windows, which then run serially. Timing is bit-identical either
+    /// way.
+    pub telemetry: bool,
+    /// Also keep the per-core stall timeline in [`MachineRun::episodes`]
+    /// (full-detail runs; implies `telemetry`).
+    pub episodes: bool,
+    /// Dispatch for a sampled run's windows; `None` runs them serially.
+    pub pool: Option<WindowPool<'a>>,
+}
+
+/// Runs `input` on machine `kind` as `req` asks — the one run path under
+/// every session, CLI and experiment run. A full-detail
+/// [`MachineRun::result`] is the machine's own; a sampled one carries
+/// *projected* totals (`cycles` is the rounded CPI-estimate projection,
+/// `committed` the full trace length) with the interval record and
+/// confidence interval in [`MachineRun::sampled`].
+///
+/// # Panics
+///
+/// Panics if `req.cores` is set for a non-Fg-STP preset, or a plan was
+/// built for another machine shape.
+pub fn run(kind: MachineKind, input: RunInput<'_>, req: &RunRequest<'_>) -> MachineRun {
+    let (model, hcfg) = resolve(kind, req.cores);
+    if !(req.telemetry || req.episodes) {
+        return simulate(kind, &model, &hcfg, input, req.pool, &mut NullSink);
+    }
+    let mut sink = if req.episodes {
+        CpiSink::with_episodes(model.cores())
     } else {
-        (kind.core_config(), kind.hierarchy_config())
+        CpiSink::new(model.cores())
+    };
+    let mut out = simulate(kind, &model, &hcfg, input, req.pool, &mut sink);
+    out.cpi = Some(sink.merged());
+    out.episodes = sink.finish_episodes(out.result.cycles);
+    out
+}
+
+/// [`run`] for one sink type.
+fn simulate<S: CycleSink>(
+    kind: MachineKind,
+    model: &Model,
+    hcfg: &HierarchyConfig,
+    input: RunInput<'_>,
+    pool: Option<WindowPool>,
+    sink: &mut S,
+) -> MachineRun {
+    let (result, fgstp, sampled) = match input {
+        RunInput::Trace(trace) => {
+            let mut warm = WarmState::new(model.base_core(), hcfg);
+            let (wr, stats) = model.run(trace, &mut warm, 0, sink, &mut Vec::new());
+            (wr.result, stats, None)
+        }
+        RunInput::Plan(plan) => {
+            let sampled = run_plan(plan, model, hcfg, pool, sink);
+            let result = RunResult {
+                cycles: sampled.est_cycles().round() as u64,
+                committed: sampled.total_insts,
+                cores: Vec::new(),
+                branches: sampled.branches,
+                mem: sampled.mem.clone(),
+            };
+            (result, None, Some(sampled))
+        }
+    };
+    MachineRun {
+        kind,
+        result,
+        fgstp,
+        cpi: None,
+        episodes: Vec::new(),
+        sampled,
+        corun: None,
     }
 }
 
-/// Plans a sampled run of `kind` over a streamed trace: one pass of
-/// continuous functional warming that captures a live-point per detailed
-/// window (see [`fgstp_sampling::SamplePlan::plan_stream`]).
-pub fn plan_on_sampled(
-    kind: MachineKind,
-    trace: impl IntoIterator<Item = DynInst>,
-    scfg: &SampleConfig,
-) -> SamplePlan {
-    let (ccfg, hcfg) = warm_shape(kind);
-    SamplePlan::plan_stream(trace, &ccfg, &hcfg, scfg)
+/// Runs one trace through one machine preset in full detail.
+pub fn run_on(kind: MachineKind, trace: &[DynInst]) -> MachineRun {
+    run(kind, RunInput::Trace(trace), &RunRequest::default())
 }
 
-/// Executes a prepared [`SamplePlan`] on machine `kind`. With `telemetry`
-/// the detailed windows run serially through a shared CPI sink (cycle
-/// results still match the uninstrumented path exactly); otherwise the
-/// caller-supplied `exec` hook dispatches the pure window jobs — the
-/// session passes its worker pool here, making sampled runs
-/// embarrassingly parallel. Results are merged in systematic-interval
+/// Executes a prepared [`SamplePlan`] on machine `kind`; `telemetry` and
+/// `exec` as in [`RunRequest`]. Results are merged in systematic-interval
 /// order, so every pool size produces bit-identical estimates.
 pub fn run_on_sampled_plan(
     kind: MachineKind,
@@ -317,263 +314,124 @@ pub fn run_on_sampled_plan(
     telemetry: bool,
     exec: Option<WindowPool>,
 ) -> MachineRun {
-    let serial = |jobs: &[WindowJob], run: WindowExec| jobs.iter().map(run).collect();
-    let sampled = if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        if telemetry {
-            run_plan_fgstp_instrumented(plan, &cfg, &hcfg)
-        } else if let Some(exec) = exec {
-            run_plan_fgstp_with(plan, &cfg, &hcfg, |jobs, run| exec(jobs, run))
-        } else {
-            run_plan_fgstp_with(plan, &cfg, &hcfg, serial)
-        }
-    } else {
-        let ccfg = kind.core_config();
-        let hcfg = kind.hierarchy_config();
-        if telemetry {
-            run_plan_single_instrumented(plan, &ccfg, &hcfg)
-        } else if let Some(exec) = exec {
-            run_plan_single_with(plan, &ccfg, &hcfg, |jobs, run| exec(jobs, run))
-        } else {
-            run_plan_single_with(plan, &ccfg, &hcfg, serial)
-        }
+    let req = RunRequest {
+        telemetry,
+        pool: exec,
+        ..RunRequest::default()
     };
-    sampled_machine_run(kind, sampled)
+    run(kind, RunInput::Plan(plan), &req)
 }
 
-/// Wraps a [`SampledRun`] in the standard [`MachineRun`] projection:
-/// `result.cycles` is the rounded CPI-estimate projection, `committed`
-/// the full trace length.
-fn sampled_machine_run(kind: MachineKind, mut sampled: SampledRun) -> MachineRun {
-    let result = RunResult {
-        cycles: sampled.est_cycles().round() as u64,
-        committed: sampled.total_insts,
-        cores: Vec::new(),
-        branches: sampled.branches,
-        mem: sampled.mem.clone(),
-    };
-    MachineRun {
-        kind,
-        result,
-        fgstp: None,
-        cpi: sampled.cpi_stack.take(),
-        sampled: Some(sampled),
-        corun: None,
-    }
-}
-
-/// Runs an *isolated* multi-program co-run under sampling: each program
-/// is sampled independently on its own core slice (`cores[i]`-core
-/// machine, private hierarchy), which is exactly what an isolated co-run
-/// computes in full detail. Shared-hierarchy co-runs cannot be sampled —
-/// contention couples the programs' timing, so there is no per-program
-/// interval schedule — and `--corun --sample` without `--isolated` is
-/// rejected upstream by spec validation.
+/// Runs a multi-program co-run on one Fg-STP machine preset: program `i`
+/// is `workloads[i]`/`inputs[i]` on `cores[i]` consecutive chip cores.
+/// Programs share the L2 and a finite-bandwidth DRAM channel (see
+/// [`fgstp::run_corun`] for the arbitration and determinism contracts);
+/// with `isolated` every program instead runs on a private hierarchy,
+/// exactly its solo [`run`] on a `cores[i]`-core machine — which is also
+/// the only co-run that can be sampled (`pool` dispatches its windows).
 ///
-/// Returns one [`BenchResult`] per program in plan order, each carrying
-/// the sampled record and its co-run placement.
+/// Returns one [`BenchResult`] per program, in plan order, each holding a
+/// single [`MachineRun`] whose [`MachineRun::corun`] records the
+/// placement; `result.mem` is the program's slice of the hierarchy.
 ///
 /// # Panics
 ///
-/// Panics if `kind` is not an Fg-STP preset or the slice lengths
-/// disagree.
-pub fn run_on_sampled_corun_isolated(
+/// Panics if `kind` is not an Fg-STP preset, the slice lengths disagree,
+/// or a shared-hierarchy co-run is given a sampled plan — `--corun` specs
+/// are validated upstream by [`crate::ExperimentSpec::validate`].
+pub fn run_on_corun(
     kind: MachineKind,
     workloads: &[Workload],
-    traces: &[Trace],
+    inputs: &[RunInput<'_>],
     cores: &[usize],
-    scfg: &SampleConfig,
-) -> Vec<BenchResult> {
-    assert_eq!(
-        traces.len(),
-        cores.len(),
-        "one trace and core count per co-running program"
-    );
-    let plans: Vec<SamplePlan> = traces
-        .iter()
-        .zip(cores)
-        .map(|(t, &n)| {
-            let (ccfg, hcfg) = corun_warm_shape(kind, n);
-            SamplePlan::plan(t.insts(), &ccfg, &hcfg, scfg)
-        })
-        .collect();
-    run_on_sampled_corun_isolated_plans(kind, workloads, plans, cores, None)
-}
-
-/// The functional-warming machine shape of one program in a sampled
-/// isolated co-run: the base Fg-STP preset's per-core configuration plus
-/// a private hierarchy sized for the program's core slice. This is the
-/// shape live-point snapshots of co-run programs are fingerprinted on.
-///
-/// # Panics
-///
-/// Panics if `kind` is not an Fg-STP preset.
-pub fn corun_warm_shape(kind: MachineKind, cores: usize) -> (CoreConfig, HierarchyConfig) {
-    let base = kind
-        .try_fgstp_config()
-        .unwrap_or_else(|| panic!("--corun needs an Fg-STP machine, not {kind}"));
-    (base.with_cores(cores).core, kind.hierarchy_for(cores))
-}
-
-/// Executes prepared per-program [`SamplePlan`]s as an isolated sampled
-/// co-run (see [`run_on_sampled_corun_isolated`]); the optional `exec`
-/// hook dispatches each plan's pure window jobs, exactly as in
-/// [`run_on_sampled_plan`].
-pub fn run_on_sampled_corun_isolated_plans(
-    kind: MachineKind,
-    workloads: &[Workload],
-    plans: Vec<SamplePlan>,
-    cores: &[usize],
-    exec: Option<WindowPool>,
+    isolated: bool,
+    pool: Option<WindowPool>,
 ) -> Vec<BenchResult> {
     assert!(
-        workloads.len() == plans.len() && plans.len() == cores.len(),
-        "one workload, plan and core count per co-running program"
+        workloads.len() == inputs.len() && inputs.len() == cores.len(),
+        "one workload, input and core count per co-running program"
     );
     let base = kind
         .try_fgstp_config()
         .unwrap_or_else(|| panic!("--corun needs an Fg-STP machine, not {kind}"));
-    let serial = |jobs: &[WindowJob], run: WindowExec| jobs.iter().map(run).collect();
-    let mut results = Vec::with_capacity(workloads.len());
-    let mut first_core = 0usize;
-    let mut runs: Vec<(SampledRun, usize)> = Vec::with_capacity(workloads.len());
-    for (plan, &n) in plans.iter().zip(cores) {
-        let cfg = base.clone().with_cores(n);
-        let hcfg = kind.hierarchy_for(n);
-        let sampled = match exec {
-            Some(exec) => run_plan_fgstp_with(plan, &cfg, &hcfg, |jobs, run| exec(jobs, run)),
-            None => run_plan_fgstp_with(plan, &cfg, &hcfg, serial),
-        };
-        runs.push((sampled, n));
-    }
-    let total_cycles = runs
-        .iter()
-        .map(|(s, _)| s.est_cycles().round() as u64)
-        .max()
-        .unwrap_or(0);
-    for (i, (w, (sampled, n))) in workloads.iter().zip(runs).enumerate() {
-        let est = sampled.est_cycles().round() as u64;
-        let mut run = sampled_machine_run(kind, sampled);
-        run.corun = Some(CoRunInfo {
-            program: i,
-            first_core,
-            cores: n,
-            start_cycle: 0,
-            finish_cycle: est,
-            total_cycles,
-            isolated: true,
-        });
-        first_core += n;
-        results.push(BenchResult {
-            name: w.name,
-            committed: run.result.committed,
-            runs: vec![run],
-            error: None,
-        });
-    }
-    results
-}
-
-/// Like [`run_on_sampled`] (uninstrumented), but consumes the trace as a
-/// stream — e.g. an [`fgstp_tracefile::OwnedTraceReader`] straight off the
-/// on-disk cache — so the decoded `Vec<DynInst>` is never materialized; at
-/// most one detailed window of instructions is in memory at a time.
-/// Results are bit-identical to the slice path: the sampler's slice and
-/// stream entry points share one interval walker.
-pub fn run_on_sampled_stream(
-    kind: MachineKind,
-    trace: impl IntoIterator<Item = DynInst>,
-    scfg: &SampleConfig,
-) -> MachineRun {
-    let sampled = if let Some(cfg) = kind.try_fgstp_config() {
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        sample_fgstp_stream(trace, &cfg, &hcfg, scfg)
+    // (run, start cycle, finish cycle) per program.
+    let (runs, total_cycles): (Vec<(MachineRun, u64, u64)>, u64) = if isolated {
+        let runs: Vec<_> = inputs
+            .iter()
+            .zip(cores)
+            .map(|(&input, &n)| {
+                let req = RunRequest {
+                    cores: Some(n),
+                    pool,
+                    ..RunRequest::default()
+                };
+                let r = run(kind, input, &req);
+                let finish = r.result.cycles;
+                (r, 0, finish)
+            })
+            .collect();
+        let total = runs.iter().map(|r| r.2).max().unwrap_or(0);
+        (runs, total)
     } else {
-        sample_single_stream(trace, &kind.core_config(), &kind.hierarchy_config(), scfg)
+        let traces: Vec<&[DynInst]> = inputs
+            .iter()
+            .map(|input| match input {
+                RunInput::Trace(t) => *t,
+                RunInput::Plan(_) => {
+                    panic!("a shared-hierarchy co-run cannot be sampled; add --corun-isolated")
+                }
+            })
+            .collect();
+        let plan = CoRunPlan {
+            programs: cores
+                .iter()
+                .map(|&n| CoRunProgram::new(base.clone().with_cores(n)))
+                .collect(),
+            contention: CoRunContention::shared(),
+        };
+        let co = run_corun(&traces, &plan, &kind.hierarchy_for(plan.total_cores()));
+        let runs = co
+            .programs
+            .into_iter()
+            .map(|p| {
+                let r = MachineRun {
+                    kind,
+                    result: p.result,
+                    fgstp: Some(p.stats),
+                    cpi: None,
+                    episodes: Vec::new(),
+                    sampled: None,
+                    corun: None,
+                };
+                (r, p.start_cycle, p.finish_cycle)
+            })
+            .collect();
+        (runs, co.total_cycles)
     };
-    sampled_machine_run(kind, sampled)
-}
-
-/// Runs one trace through one machine preset with cycle accounting: the
-/// returned [`MachineRun`] carries the merged CPI stack, and when
-/// `episodes` is set the per-core stall timeline comes back alongside it
-/// (for [`fgstp_telemetry::write_chrome_trace`] export).
-///
-/// Timing is bit-identical to [`run_on`]; only the observability differs.
-pub fn run_on_instrumented(
-    kind: MachineKind,
-    trace: &[DynInst],
-    episodes: bool,
-) -> (MachineRun, Vec<Episode>) {
-    run_on_instrumented_with_cores(kind, trace, episodes, None)
-}
-
-/// Like [`run_on_instrumented`], with the Fg-STP core-count override of
-/// [`run_on_with_cores`].
-///
-/// # Panics
-///
-/// Panics if `cores` is set for a non-Fg-STP preset.
-pub fn run_on_instrumented_with_cores(
-    kind: MachineKind,
-    trace: &[DynInst],
-    episodes: bool,
-    cores: Option<usize>,
-) -> (MachineRun, Vec<Episode>) {
-    let run;
-    let mut sink;
-    if let Some(mut cfg) = kind.try_fgstp_config() {
-        if let Some(n) = cores {
-            cfg = cfg.with_cores(n);
-        }
-        let hcfg = kind.hierarchy_for(cfg.num_cores);
-        sink = if episodes {
-            CpiSink::with_episodes(cfg.num_cores)
-        } else {
-            CpiSink::new(cfg.num_cores)
-        };
-        let (result, stats) = run_fgstp_with_sink(trace, &cfg, &hcfg, &mut sink);
-        run = MachineRun {
-            kind,
-            result,
-            fgstp: Some(stats),
-            cpi: None,
-            sampled: None,
-            corun: None,
-        };
-    } else {
-        assert!(
-            cores.is_none(),
-            "--cores only applies to Fg-STP machines, not {kind}"
-        );
-        sink = if episodes {
-            CpiSink::with_episodes(1)
-        } else {
-            CpiSink::new(1)
-        };
-        let result = run_single_with_sink(
-            trace,
-            &kind.core_config(),
-            &kind.hierarchy_config(),
-            &mut sink,
-        );
-        run = MachineRun {
-            kind,
-            result,
-            fgstp: None,
-            cpi: None,
-            sampled: None,
-            corun: None,
-        };
-    }
-    let timeline = sink.finish_episodes(run.result.cycles);
-    (
-        MachineRun {
-            cpi: Some(sink.merged()),
-            ..run
-        },
-        timeline,
-    )
+    let mut first_core = 0;
+    workloads
+        .iter()
+        .zip(runs)
+        .enumerate()
+        .map(|(i, (w, (mut r, start_cycle, finish_cycle)))| {
+            r.corun = Some(CoRunInfo {
+                program: i,
+                first_core,
+                cores: cores[i],
+                start_cycle,
+                finish_cycle,
+                total_cycles,
+                isolated,
+            });
+            first_core += cores[i];
+            BenchResult {
+                name: w.name,
+                committed: r.result.committed,
+                runs: vec![r],
+                error: None,
+            }
+        })
+        .collect()
 }
 
 /// Traces one workload (panicking on a kernel fault, which would be a
@@ -617,7 +475,28 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgstp_sampling::SampleConfig;
     use fgstp_workloads::by_name;
+
+    /// A serial sampled run of `trace` on `kind`.
+    fn run_sampled(
+        kind: MachineKind,
+        trace: &[DynInst],
+        scfg: &SampleConfig,
+        telemetry: bool,
+    ) -> MachineRun {
+        let (ccfg, hcfg) = warm_shape(kind);
+        let plan = SamplePlan::plan(trace, &ccfg, &hcfg, scfg);
+        run_on_sampled_plan(kind, &plan, telemetry, None)
+    }
+
+    fn run_with_cores(kind: MachineKind, trace: &[DynInst], cores: usize) -> MachineRun {
+        let req = RunRequest {
+            cores: Some(cores),
+            ..RunRequest::default()
+        };
+        run(kind, RunInput::Trace(trace), &req)
+    }
 
     #[test]
     fn geomean_of_known_values() {
@@ -703,7 +582,12 @@ mod tests {
             MachineKind::FgstpSmall4,
         ] {
             let plain = run_on(k, t.insts());
-            let (inst, episodes) = run_on_instrumented(k, t.insts(), true);
+            let req = RunRequest {
+                episodes: true,
+                ..RunRequest::default()
+            };
+            let inst = run(k, RunInput::Trace(t.insts()), &req);
+            let episodes = &inst.episodes;
             assert_eq!(inst.result.cycles, plain.result.cycles, "{k}");
             assert_eq!(inst.result.committed, plain.result.committed, "{k}");
             let stack = inst.cpi.as_ref().expect("instrumented run has a stack");
@@ -726,7 +610,7 @@ mod tests {
     fn cores_override_changes_the_machine_shape() {
         let w = by_name("hmmer_dp", Scale::Test).unwrap();
         let t = trace_workload(&w, Scale::Test);
-        let r = run_on_with_cores(MachineKind::FgstpSmall, t.insts(), Some(3));
+        let r = run_with_cores(MachineKind::FgstpSmall, t.insts(), 3);
         assert_eq!(r.result.cores.len(), 3);
         assert_eq!(r.result.committed, t.len() as u64);
         // The default path matches the preset's own core count.
@@ -745,7 +629,7 @@ mod tests {
         };
         for k in [MachineKind::SingleSmall, MachineKind::FgstpSmall] {
             let full = run_on(k, t.insts());
-            let r = run_on_sampled(k, t.insts(), &scfg, false);
+            let r = run_sampled(k, t.insts(), &scfg, false);
             assert_eq!(r.result.committed, t.len() as u64, "{k}");
             let s = r.sampled.as_ref().expect("sampled record");
             assert_eq!(r.result.cycles, s.est_cycles().round() as u64, "{k}");
@@ -769,7 +653,7 @@ mod tests {
             warmup: 300,
             detail: 150,
         };
-        let r = run_on_sampled(MachineKind::FgstpSmall, t.insts(), &scfg, true);
+        let r = run_sampled(MachineKind::FgstpSmall, t.insts(), &scfg, true);
         let s = r.sampled.as_ref().unwrap();
         let stack = r.cpi.as_ref().expect("instrumented sampled run");
         stack.check_against(s.detail_core_cycles).unwrap();
@@ -781,6 +665,6 @@ mod tests {
     fn cores_override_rejects_non_fgstp_machines() {
         let w = by_name("hmmer_dp", Scale::Test).unwrap();
         let t = trace_workload(&w, Scale::Test);
-        run_on_with_cores(MachineKind::SingleSmall, t.insts(), Some(2));
+        run_with_cores(MachineKind::SingleSmall, t.insts(), 2);
     }
 }

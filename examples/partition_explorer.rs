@@ -6,9 +6,7 @@
 //! cargo run --release --example partition_explorer [workload]
 //! ```
 
-use fg_stp_repro::core::{
-    partition_stream, run_fgstp, FgstpConfig, PartitionConfig, PartitionPolicy,
-};
+use fg_stp_repro::core::{partition_stream, FgstpConfig, PartitionConfig, PartitionPolicy};
 use fg_stp_repro::ooo::build_exec_stream;
 use fg_stp_repro::prelude::*;
 use fg_stp_repro::workloads;
@@ -50,7 +48,7 @@ fn main() {
         let part = partition_stream(&stream, &pcfg, 2);
         let mut cfg = FgstpConfig::small();
         cfg.partition = pcfg;
-        let (result, _) = run_fgstp(trace.insts(), &cfg, &HierarchyConfig::small(2));
+        let (result, _) = cfg.run_cold(trace.insts(), &HierarchyConfig::small(2));
         [
             label.to_owned(),
             part.stats.insts[0].to_string(),

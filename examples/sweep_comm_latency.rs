@@ -6,7 +6,7 @@
 //! cargo run --release --example sweep_comm_latency
 //! ```
 
-use fg_stp_repro::core::{run_fgstp, FgstpConfig};
+use fg_stp_repro::core::FgstpConfig;
 use fg_stp_repro::prelude::*;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         let speedups = session.par_map(&jobs, |((_, t), single)| {
             let mut cfg = FgstpConfig::small();
             cfg.comm.latency = latency;
-            let (r, _) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
+            let (r, _) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
             r.speedup_over(&single.result)
         });
         table.row([

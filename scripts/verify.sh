@@ -17,6 +17,9 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== workspace tests (every crate's unit and integration tests)"
+cargo test -q --workspace
+
 echo "== telemetry invariants (cycle accounting reconciles exactly)"
 cargo test -q --test telemetry
 

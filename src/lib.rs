@@ -62,14 +62,14 @@ pub use fgstp_workloads as workloads;
 
 /// The most commonly used items, for examples and quick scripts.
 pub mod prelude {
-    pub use fgstp::{run_fgstp, FgstpConfig, PartitionConfig, PartitionPolicy};
+    pub use fgstp::{FgstpConfig, PartitionConfig, PartitionPolicy};
     pub use fgstp_isa::{assemble, trace_program, Machine, Program};
     pub use fgstp_mem::HierarchyConfig;
-    pub use fgstp_ooo::{run_single, CoreConfig};
+    pub use fgstp_ooo::{CoreConfig, TimingModel};
     pub use fgstp_sampling::{Estimate, SampleConfig, SampledRun};
     pub use fgstp_sim::{
-        geomean, run_on, run_on_instrumented, run_on_sampled, run_suite, CacheStats,
-        ExperimentSpec, MachineKind, RunPlan, Scale, Session, SpecError, SpecErrorKind, Table,
+        geomean, run_on, run_suite, CacheStats, ExperimentSpec, MachineKind, RunPlan, Scale,
+        Session, SpecError, SpecErrorKind, Table,
     };
     pub use fgstp_telemetry::{write_chrome_trace, CpiSink, CpiStack, StallCategory};
     pub use fgstp_workloads::{suite, SuiteClass, Workload};

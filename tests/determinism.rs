@@ -4,7 +4,7 @@
 //! produce identical results run to run, or recorded experiments are
 //! meaningless.
 
-use fg_stp_repro::core::{partition_stream, run_fgstp, FgstpConfig, PartitionConfig};
+use fg_stp_repro::core::{partition_stream, FgstpConfig, PartitionConfig};
 use fg_stp_repro::ooo::build_exec_stream;
 use fg_stp_repro::prelude::*;
 use fg_stp_repro::sim::runner::trace_workload;
@@ -37,8 +37,8 @@ fn timing_results_are_identical_across_runs() {
         assert_eq!(a.result.cycles, b.result.cycles, "{kind}");
         assert_eq!(a.result.cores, b.result.cores, "{kind}");
     }
-    let (a, sa) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
-    let (b, sb) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
+    let (a, sa) = FgstpConfig::small().run_cold(t.insts(), &HierarchyConfig::small(2));
+    let (b, sb) = FgstpConfig::small().run_cold(t.insts(), &HierarchyConfig::small(2));
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(sa.comm, sb.comm);
     assert_eq!(sa.partition, sb.partition);

@@ -3,7 +3,7 @@
 //!
 //! Every case assembles a random (but always-terminating) program, runs it
 //! to completion on the functional [`Machine`] interpreter, then drives the
-//! committed-path trace through [`run_fgstp`] at 1, 2 and 4 cores. The
+//! committed-path trace through the Fg-STP machine (`TimingModel::run_cold`) at 1, 2 and 4 cores. The
 //! timing machine must commit the entire trace (no lost, duplicated or
 //! deadlocked instructions), and the architectural state it commits —
 //! reconstructed by replaying the committed destination-register writes and
@@ -159,7 +159,7 @@ fn fgstp_matches_sequential_interpreter() {
         for n in [1usize, 2, 4] {
             let cfg = FgstpConfig::small().with_cores(n);
             let hcfg = HierarchyConfig::small(n);
-            let (result, _) = run_fgstp(trace.insts(), &cfg, &hcfg);
+            let (result, _) = cfg.run_cold(trace.insts(), &hcfg);
             if result.committed != trace.len() as u64 {
                 divergences.push(format!(
                     "case {case} n={n}: committed {} of {} insts",
@@ -294,8 +294,8 @@ fn fgstp_runs_are_deterministic_across_repeats() {
         for n in [1usize, 2, 4] {
             let cfg = FgstpConfig::small().with_cores(n);
             let hcfg = HierarchyConfig::small(n);
-            let (a, _) = run_fgstp(trace.insts(), &cfg, &hcfg);
-            let (b, _) = run_fgstp(trace.insts(), &cfg, &hcfg);
+            let (a, _) = cfg.run_cold(trace.insts(), &hcfg);
+            let (b, _) = cfg.run_cold(trace.insts(), &hcfg);
             assert_eq!(a.cycles, b.cycles, "case {case} n={n}");
             assert_eq!(a.committed, b.committed, "case {case} n={n}");
         }

@@ -8,7 +8,7 @@
 //! replication, communication-fabric or commit logic fails here with the
 //! exact workload and knob that moved.
 
-use fg_stp_repro::core::{run_fgstp, FgstpConfig};
+use fg_stp_repro::core::FgstpConfig;
 use fg_stp_repro::prelude::*;
 use fg_stp_repro::sim::Session;
 
@@ -111,7 +111,7 @@ fn e3_latency_sweep_cycles_match_the_dual_core_implementation() {
         for ((w, t), &cycles) in traced.iter().zip(&expected) {
             let mut cfg = FgstpConfig::small();
             cfg.comm.latency = latency;
-            let (r, _) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(2));
+            let (r, _) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
             assert_eq!(
                 r.cycles, cycles,
                 "{} at queue latency {latency} drifted",

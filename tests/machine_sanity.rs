@@ -89,17 +89,14 @@ fn degenerate_one_core_fgstp_matches_the_single_core() {
     // and the global completion frontier in front of commit; with a single
     // core both reduce to the local schedule, and the measured skew on the
     // suite is zero.
-    use fg_stp_repro::core::{run_fgstp, FgstpConfig};
     for name in ["hmmer_dp", "perl_hash", "mcf_pointer"] {
         let w = by_name(name, Scale::Test).unwrap();
         let t = trace_workload(&w, Scale::Test);
-        let single = fg_stp_repro::ooo::run_single(
-            t.insts(),
-            &fg_stp_repro::ooo::CoreConfig::small(),
-            &HierarchyConfig::small(1),
-        );
+        let single = CoreConfig::small()
+            .run_cold(t.insts(), &HierarchyConfig::small(1))
+            .0;
         let cfg = FgstpConfig::small().with_cores(1);
-        let (r, s) = run_fgstp(t.insts(), &cfg, &HierarchyConfig::small(1));
+        let (r, s) = cfg.run_cold(t.insts(), &HierarchyConfig::small(1));
         assert_eq!(r.committed, single.committed, "{name}");
         assert_eq!(s.comm_total().sends, 0, "{name}: one core never sends");
         assert_eq!(s.partition.replicated, 0, "{name}");

@@ -5,7 +5,7 @@
 //! (c) never violate under the conservative policy, and (d) still compute
 //! the right answer either way.
 
-use fg_stp_repro::core::{run_fgstp, FgstpConfig, PartitionPolicy};
+use fg_stp_repro::core::{FgstpConfig, PartitionPolicy};
 use fg_stp_repro::prelude::*;
 
 const TIGHT_RAW: &str = r#"
@@ -32,7 +32,7 @@ fn forced_config(dep_speculation: bool) -> FgstpConfig {
 fn speculation_violates_and_replays_on_tight_cross_raw() {
     let p = assemble(TIGHT_RAW).unwrap();
     let t = trace_program(&p, 100_000).unwrap();
-    let (r, s) = run_fgstp(t.insts(), &forced_config(true), &HierarchyConfig::small(2));
+    let (r, s) = forced_config(true).run_cold(t.insts(), &HierarchyConfig::small(2));
     assert_eq!(r.committed, t.len() as u64);
     assert!(
         s.partition.cross_mem_deps > 0,
@@ -49,7 +49,7 @@ fn speculation_violates_and_replays_on_tight_cross_raw() {
 fn conservative_mode_never_violates() {
     let p = assemble(TIGHT_RAW).unwrap();
     let t = trace_program(&p, 100_000).unwrap();
-    let (r, s) = run_fgstp(t.insts(), &forced_config(false), &HierarchyConfig::small(2));
+    let (r, s) = forced_config(false).run_cold(t.insts(), &HierarchyConfig::small(2));
     assert_eq!(r.committed, t.len() as u64);
     assert_eq!(s.cross_violations, 0);
 }
@@ -60,7 +60,7 @@ fn fgstp_default_partition_avoids_the_split_entirely() {
     // keeps the pair on one core: no cross memory deps, no violations.
     let p = assemble(TIGHT_RAW).unwrap();
     let t = trace_program(&p, 100_000).unwrap();
-    let (_, s) = run_fgstp(t.insts(), &FgstpConfig::small(), &HierarchyConfig::small(2));
+    let (_, s) = FgstpConfig::small().run_cold(t.insts(), &HierarchyConfig::small(2));
     assert_eq!(
         s.partition.cross_mem_deps, 0,
         "partitioner should co-locate the RAW pair"
@@ -100,8 +100,8 @@ fn speculation_wins_when_the_dependence_is_distant() {
     spec_cfg.partition.policy = PartitionPolicy::ModN { chunk: 8 };
     let mut cons_cfg = forced_config(false);
     cons_cfg.partition.policy = PartitionPolicy::ModN { chunk: 8 };
-    let (spec, _) = run_fgstp(t.insts(), &spec_cfg, &HierarchyConfig::small(2));
-    let (cons, _) = run_fgstp(t.insts(), &cons_cfg, &HierarchyConfig::small(2));
+    let (spec, _) = spec_cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
+    let (cons, _) = cons_cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
     assert!(
         spec.cycles <= cons.cycles,
         "speculation must not lose: spec {} vs conservative {}",

@@ -16,7 +16,9 @@ use fg_stp_repro::prelude::*;
 fn cycles_of(src: &str) -> (u64, u64) {
     let p = assemble(src).unwrap();
     let t = trace_program(&p, 2_000_000).unwrap();
-    let r = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
+    let r = CoreConfig::small()
+        .run_cold(t.insts(), &HierarchyConfig::small(1))
+        .0;
     assert_eq!(r.committed, t.len() as u64);
     (r.cycles, r.committed)
 }
@@ -170,12 +172,12 @@ fn medium_core_reaches_higher_ilp_than_small() {
     let src = looped(&body, 2000);
     let p = assemble(&src).unwrap();
     let t = trace_program(&p, 2_000_000).unwrap();
-    let small = run_single(t.insts(), &CoreConfig::small(), &HierarchyConfig::small(1));
-    let medium = run_single(
-        t.insts(),
-        &CoreConfig::medium(),
-        &HierarchyConfig::medium(1),
-    );
+    let small = CoreConfig::small()
+        .run_cold(t.insts(), &HierarchyConfig::small(1))
+        .0;
+    let medium = CoreConfig::medium()
+        .run_cold(t.insts(), &HierarchyConfig::medium(1))
+        .0;
     assert!(small.ipc() <= 2.0 + 1e-9);
     assert!(
         medium.ipc() > 2.2,

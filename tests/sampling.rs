@@ -21,11 +21,24 @@
 //! 4. **Cost** — the same regime simulates at least 10× fewer
 //!    instructions in detail than a full-detail run.
 
+use fg_stp_repro::isa::DynInst;
 use fg_stp_repro::prelude::*;
-use fg_stp_repro::sampling::geomean_estimate;
-use fg_stp_repro::sim::run_on_sampled;
-use fg_stp_repro::sim::{BenchResult, CoRunProgramSpec, CoRunSpec};
+use fg_stp_repro::sampling::{geomean_estimate, SamplePlan};
+use fg_stp_repro::sim::runner::{run_on_sampled_plan, warm_shape};
+use fg_stp_repro::sim::{BenchResult, CoRunProgramSpec, CoRunSpec, MachineRun};
 use fgstp_workloads::{by_name, long_suite, Workload};
+
+/// A cold, serial sampled run of `trace` on `kind`.
+fn run_on_sampled(
+    kind: MachineKind,
+    trace: &[DynInst],
+    scfg: &SampleConfig,
+    telemetry: bool,
+) -> MachineRun {
+    let (ccfg, hcfg) = warm_shape(kind);
+    let plan = SamplePlan::plan(trace, &ccfg, &hcfg, scfg);
+    run_on_sampled_plan(kind, &plan, telemetry, None)
+}
 
 /// The ≥10×-reduction regime E14 validates (at Test scale the long-run
 /// traces hold dozens of these intervals each).

@@ -5,7 +5,7 @@
 //! panic, with telemetry on or off.
 
 use fg_stp_repro::prelude::*;
-use fg_stp_repro::sim::{cpi_stack_table, speedup_table, BenchResult};
+use fg_stp_repro::sim::{cpi_stack_table, run, speedup_table, BenchResult, RunInput, RunRequest};
 
 const MACHINES: [MachineKind; 3] = [
     MachineKind::SingleSmall,
@@ -138,13 +138,22 @@ fn chrome_trace_export_covers_the_whole_run() {
     let w = fg_stp_repro::workloads::by_name("mcf_pointer", Scale::Test).unwrap();
     let session = Session::new().scale(Scale::Test).no_cache();
     let trace = session.trace(&w);
-    let (run, episodes) = run_on_instrumented(MachineKind::FgstpSmall, trace.insts(), true);
+    let req = RunRequest {
+        episodes: true,
+        ..RunRequest::default()
+    };
+    let traced = run(
+        MachineKind::FgstpSmall,
+        RunInput::Trace(trace.insts()),
+        &req,
+    );
+    let episodes = &traced.episodes;
 
     // The episode timeline tiles both cores' cycles exactly.
     let covered: u64 = episodes.iter().map(|e| e.cycles()).sum();
-    assert_eq!(covered, 2 * run.result.cycles);
+    assert_eq!(covered, 2 * traced.result.cycles);
 
-    let json = write_chrome_trace("fgstp_small", &episodes);
+    let json = write_chrome_trace("fgstp_small", episodes);
     assert!(json.starts_with("{\"traceEvents\":["), "not a trace header");
     assert!(json.trim_end().ends_with('}'));
     assert!(json.contains("\"ph\":\"X\""), "no duration events");

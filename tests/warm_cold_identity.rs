@@ -1,16 +1,16 @@
-//! Warm-path ≡ cold-path identity: entering a detailed window through the
-//! sampled-simulation warm APIs with `measure_from = 0` and *fresh* warm
-//! state is bit-identical to the ordinary cold runs.
+//! Warm-path ≡ cold-path identity: entering a detailed window the way the
+//! sampler does — [`TimingModel::run`] on a caller-built `WarmState` with
+//! `measure_from = 0` — is bit-identical to the ordinary cold run.
 //!
-//! This pins the invariant the SMARTS-style sampler depends on — the warm
-//! entry points share the same hot loop as the cold ones, so any hot-loop
+//! This pins the invariant the SMARTS-style sampler depends on — warm
+//! entry shares the same hot loop as a cold run, so any hot-loop
 //! optimization that changed warm-entry timing (ready-set filtering, the
 //! completion wheel, scratch reuse) would show up here as a cycle drift.
 
-use fg_stp_repro::ooo::{run_single, run_single_warm, WarmState};
+use fg_stp_repro::ooo::WarmState;
 use fg_stp_repro::prelude::*;
+use fg_stp_repro::telemetry::NullSink;
 use fg_stp_repro::workloads::{suite, Scale};
-use fgstp::run_fgstp_warm;
 
 /// A spread of suite kernels: pointer-chasing, dense DP, streaming and
 /// control-heavy behaviour all exercise different stall paths.
@@ -33,9 +33,9 @@ fn single_core_warm_entry_matches_cold_run() {
     let hcfg = HierarchyConfig::small(1);
     for name in KERNELS {
         let trace = traced(name);
-        let cold = run_single(&trace, &cfg, &hcfg);
+        let cold = cfg.run_cold(&trace, &hcfg).0;
         let mut warm = WarmState::new(&cfg, &hcfg);
-        let wr = run_single_warm(&trace, &cfg, &mut warm, 0);
+        let (wr, ()) = cfg.run(&trace, &mut warm, 0, &mut NullSink, &mut Vec::new());
         assert_eq!(wr.result.cycles, cold.cycles, "{name}: cycles");
         assert_eq!(wr.result.committed, cold.committed, "{name}: committed");
         assert_eq!(wr.result.branches, cold.branches, "{name}: branches");
@@ -51,9 +51,9 @@ fn fgstp_warm_entry_matches_cold_run_at_2_and_4_cores() {
         let hcfg = HierarchyConfig::small(n);
         for name in KERNELS {
             let trace = traced(name);
-            let (cold, cold_stats) = run_fgstp(&trace, &cfg, &hcfg);
+            let (cold, cold_stats) = cfg.run_cold(&trace, &hcfg);
             let mut warm = WarmState::new(&cfg.core, &hcfg);
-            let (wr, warm_stats) = run_fgstp_warm(&trace, &cfg, &mut warm, 0);
+            let (wr, warm_stats) = cfg.run(&trace, &mut warm, 0, &mut NullSink, &mut Vec::new());
             assert_eq!(wr.result.cycles, cold.cycles, "{name}/{n}: cycles");
             assert_eq!(wr.result.committed, cold.committed, "{name}/{n}: committed");
             assert_eq!(wr.result.branches, cold.branches, "{name}/{n}: branches");
