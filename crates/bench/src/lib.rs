@@ -3,9 +3,11 @@
 //! Experiment harness for the Fg-STP reproduction. Each `exp_*` binary in
 //! `src/bin/` regenerates one table or figure of the paper's evaluation —
 //! see the per-experiment index in `DESIGN.md` and the recorded
-//! paper-vs-measured comparison in `EXPERIMENTS.md`. The `benches/`
-//! directory holds a dependency-free wall-clock benchmark of the
-//! simulator's hot paths.
+//! paper-vs-measured comparison in `EXPERIMENTS.md`. The `bench` binary
+//! is the simulator's wall-clock harness: per-layer throughput over the
+//! suite, normalized to a reference interpreter timed in the same
+//! process, recorded in `BENCH_layers.json` and gated by
+//! `scripts/perf_gate.sh`.
 //!
 //! Every binary accepts the shared [`fgstp_sim::ExperimentSpec`] flag
 //! vocabulary (an optional scale word, `--workloads=a,b` to narrow the

@@ -22,7 +22,7 @@
 //! job's session to one thread by default (jobs parallelize *across*
 //! workers instead) unless the spec asks for its own pool.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -32,7 +32,9 @@ use std::thread;
 use fgstp_sim::ExperimentSpec;
 use fgstp_telemetry::json::Json;
 
-use crate::protocol::{bench_result_row, wire_line, Request};
+use crate::protocol::{
+    bench_result_row, wire_line, ProtocolError, Request, ERR_REQUEST_TOO_LONG, MAX_REQUEST_BYTES,
+};
 use crate::queue::JobQueue;
 
 /// Daemon settings; every field has a serviceable default.
@@ -114,7 +116,7 @@ impl Daemon {
             })
             .collect();
 
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.queue.is_shutting_down() {
                 break;
@@ -123,6 +125,15 @@ impl Daemon {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // Reap finished handlers, so a long-lived daemon holds one
+            // handle per open connection, not one per client ever served.
+            let (done, live) = std::mem::take(&mut handlers)
+                .into_iter()
+                .partition::<Vec<_>, _>(|h| h.is_finished());
+            for h in done {
+                let _ = h.join();
+            }
+            handlers = live;
             let queue = self.queue.clone();
             handlers.push(thread::spawn(move || {
                 let _ = handle_connection(stream, &queue, addr);
@@ -228,7 +239,9 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Reads run under a short timeout so an idle connection notices
 /// daemon shutdown and releases its handler thread (which
 /// [`Daemon::run`] joins) instead of blocking forever on a client that
-/// never speaks again.
+/// never speaks again. A line that reaches [`MAX_REQUEST_BYTES`] without
+/// a newline gets a structured error and the connection is closed, so no
+/// client can grow a handler's buffer without bound.
 fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
@@ -239,9 +252,10 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
     // The line buffer persists across read timeouts: a timeout may
     // leave a partial line in it, finished by a later read.
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        let budget = (MAX_REQUEST_BYTES - buf.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut buf) {
             Ok(0) => return Ok(()),
             Ok(_) => {}
             Err(e)
@@ -257,8 +271,17 @@ fn handle_connection(
             }
             Err(e) => return Err(e),
         }
+        if buf.len() == MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let e = ProtocolError::new(
+                ERR_REQUEST_TOO_LONG,
+                format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"),
+            );
+            writer.write_all(wire_line(&e.to_reply()).as_bytes())?;
+            return writer.flush();
+        }
+        let line = String::from_utf8_lossy(&buf).into_owned();
+        buf.clear();
         if line.trim().is_empty() {
-            line.clear();
             continue;
         }
         let (reply_lines, shutdown) = match Request::parse_line(line.trim_end()) {
@@ -268,7 +291,6 @@ fn handle_connection(
                 (dispatch(req, queue, &mut writer)?, shutdown)
             }
         };
-        line.clear();
         for v in &reply_lines {
             writer.write_all(wire_line(v).as_bytes())?;
         }

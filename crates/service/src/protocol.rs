@@ -13,9 +13,9 @@
 //! [`SpecErrorKind`](fgstp_sim::SpecErrorKind) label
 //! (`unknown-workload`, `conflict`, …) or one of
 //! the service-level kinds ([`ERR_BAD_REQUEST`], [`ERR_UNKNOWN_JOB`],
-//! [`ERR_QUEUE_FULL`], [`ERR_SHUTTING_DOWN`]). A malformed or
-//! unsatisfiable spec is therefore a *reply*, not a daemon or worker
-//! panic.
+//! [`ERR_QUEUE_FULL`], [`ERR_SHUTTING_DOWN`], [`ERR_REQUEST_TOO_LONG`]).
+//! A malformed or unsatisfiable spec is therefore a *reply*, not a
+//! daemon or worker panic.
 
 use fgstp_sim::{BenchResult, ExperimentSpec, SpecError};
 use fgstp_telemetry::json::Json;
@@ -29,6 +29,12 @@ pub const ERR_UNKNOWN_JOB: &str = "unknown-job";
 pub const ERR_QUEUE_FULL: &str = "queue-full";
 /// The daemon is shutting down and accepts no new work.
 pub const ERR_SHUTTING_DOWN: &str = "shutting-down";
+/// A request line reached [`MAX_REQUEST_BYTES`]; the daemon closes the
+/// connection after replying.
+pub const ERR_REQUEST_TOO_LONG: &str = "request-too-long";
+
+/// Longest request line the daemon buffers, newline included.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A structured protocol-level rejection, mirrored on the wire as
 /// `{"kind": ..., "message": ...}`.

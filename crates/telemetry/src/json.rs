@@ -4,14 +4,20 @@
 //! JSON layer: a recursive-descent parser for the subset it emits
 //! (objects, arrays, strings, numbers, booleans, null) and a writer with
 //! deterministic key order. This is *not* a general-purpose JSON library
-//! — it exists to round-trip `BENCH_hotloop.json` for the perf gate, to
-//! serialize [`fgstp-sim`]'s `ExperimentSpec`, and to carry the
-//! newline-delimited `fgstpd` batch-simulation protocol, all without
-//! external tooling (no serde, no python, no jq).
+//! — it exists to round-trip the `bench` perf harness's
+//! `BENCH_layers.json` report, to serialize [`fgstp-sim`]'s
+//! `ExperimentSpec`, and to carry the newline-delimited `fgstpd`
+//! batch-simulation protocol, all without external tooling (no serde, no
+//! python, no jq). The parser reads text from outside the program (the
+//! daemon's request lines), so it bounds nesting at [`MAX_DEPTH`]
+//! instead of recursing until the stack overflows.
 //!
 //! [`fgstp-sim`]: ../../fgstp_sim/index.html
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +73,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -162,8 +168,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays or objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -179,7 +189,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -204,7 +214,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                members.push((key, parse_value(b, pos)?));
+                members.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -330,6 +340,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Far past the cap, and unterminated: an error, not a stack overflow.
+        assert!(Json::parse(&"{\"a\":[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `fgstpd` batch-simulation service: protocol
 //! round-trips, dedup against the trace-cache-versioned key, concurrent
 //! clients receiving rows bit-identical to direct `Session` runs,
-//! structured rejection of malformed and unsatisfiable specs, and
+//! structured rejection of malformed, over-deep, over-long and
+//! unsatisfiable requests, and
 //! graceful drain shutdown with a non-empty queue.
 //!
 //! Every test boots its own in-process daemon on a fresh loopback port
@@ -14,7 +15,7 @@ use std::thread;
 
 use fg_stp_repro::service::client::Client;
 use fg_stp_repro::service::daemon::{Daemon, DaemonConfig};
-use fg_stp_repro::service::protocol::{bench_result_row, wire_line};
+use fg_stp_repro::service::protocol::{bench_result_row, wire_line, MAX_REQUEST_BYTES};
 use fg_stp_repro::service::queue::JobQueue;
 use fg_stp_repro::sim::ExperimentSpec;
 use fg_stp_repro::telemetry::json::Json;
@@ -197,6 +198,33 @@ fn malformed_and_unsatisfiable_requests_get_structured_errors() {
     assert_eq!(kind_of(&v), "conflict");
     let v = ask(r#"{"cmd": "results", "job": 999}"#);
     assert_eq!(kind_of(&v), "unknown-job");
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let v = ask(&"[".repeat(100_000));
+    assert_eq!(kind_of(&v), "bad-json");
+
+    // A line that reaches the cap without a newline, on its own
+    // connection: a structured error, then the daemon hangs up. Exactly
+    // the cap is sent, so the daemon reads it all and closes cleanly.
+    let long = TcpStream::connect(addr).expect("connect");
+    (&long)
+        .write_all(&vec![b' '; MAX_REQUEST_BYTES])
+        .expect("write");
+    let mut long = BufReader::new(long);
+    let mut reply = String::new();
+    long.read_line(&mut reply).expect("read");
+    let v = Json::parse(reply.trim_end()).expect("reply parses");
+    assert_eq!(kind_of(&v), "request-too-long");
+    reply.clear();
+    assert_eq!(long.read_line(&mut reply).expect("read EOF"), 0);
+    // ...and a fresh connection is served as usual.
+    let fresh = TcpStream::connect(addr).expect("connect");
+    (&fresh)
+        .write_all(b"{\"cmd\": \"status\"}\n")
+        .expect("write");
+    reply.clear();
+    BufReader::new(fresh).read_line(&mut reply).expect("read");
+    let v = Json::parse(reply.trim_end()).expect("reply parses");
+    assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
 
     // The daemon is still fully functional afterwards.
     let v = ask(wire_line(
