@@ -88,13 +88,15 @@ const TIMING_ROWS: [(MachineKind, bool, &str); 5] = [
 /// the full opcode enum, routes compute through the shared semantics
 /// helpers, and touches memory one byte (one page-table hash lookup) at a
 /// time. It exists only as the denominator of the speedup this harness
-/// gates; the live oracle is `fgstp_isa::Machine`.
+/// gates; the live oracle is `fgstp_isa::Machine`. The per-step path
+/// calls no workspace code at all: only the `Op` enum is shared, and
+/// matching on it is plain language.
 mod frozen {
     use std::collections::HashMap;
 
     use fgstp_isa::machine::ExecError;
     use fgstp_isa::reg::NUM_REGS;
-    use fgstp_isa::{Inst, Op, Program};
+    use fgstp_isa::{Op, Program};
 
     const PAGE_SHIFT: u64 = 12;
     const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -171,6 +173,48 @@ mod frozen {
         })
     }
 
+    // Verbatim copies of `Op::writes_rd`, `Op::mem_width`, `Reg::index`
+    // and `Reg::is_zero`, frozen for the same reason; the register helpers
+    // take the raw index that `Inst` below carries.
+    fn writes_rd(op: Op) -> bool {
+        use Op::*;
+        !matches!(
+            op,
+            Sb | Sh | Sw | Sd | Fsd | Beq | Bne | Blt | Bge | Bltu | Bgeu | Nop | Halt
+        )
+    }
+
+    fn mem_width(op: Op) -> Option<u8> {
+        use Op::*;
+        match op {
+            Lb | Lbu | Sb => Some(1),
+            Lh | Lhu | Sh => Some(2),
+            Lw | Lwu | Sw => Some(4),
+            Ld | Fld | Sd | Fsd => Some(8),
+            _ => None,
+        }
+    }
+
+    fn reg_index(r: u8) -> usize {
+        usize::from(r)
+    }
+
+    fn is_zero(r: u8) -> bool {
+        r == 0
+    }
+
+    /// A static instruction as `fgstp_isa::Inst` lays it out, with raw
+    /// register indices. [`Machine::new`] copies the program into these
+    /// once, so no live `Reg` accessor runs per step.
+    #[derive(Clone, Copy)]
+    pub struct Inst {
+        pub op: Op,
+        pub rd: u8,
+        pub rs1: u8,
+        pub rs2: u8,
+        pub imm: i64,
+    }
+
     fn load_extend(op: Op, raw: u64) -> u64 {
         use Op::*;
         match op {
@@ -243,8 +287,8 @@ mod frozen {
     }
 
     /// The frozen interpreter: per-step decode, no pre-lowering.
-    pub struct Machine<'p> {
-        program: &'p Program,
+    pub struct Machine {
+        insts: Vec<Inst>,
         regs: [u64; NUM_REGS],
         pc: u64,
         mem: Memory,
@@ -252,16 +296,27 @@ mod frozen {
         executed: u64,
     }
 
-    impl<'p> Machine<'p> {
-        pub fn new(program: &'p Program) -> Machine<'p> {
+    impl Machine {
+        pub fn new(program: &Program) -> Machine {
             let mut mem = Memory::default();
             for init in &program.data {
                 for (i, b) in init.bytes.iter().enumerate() {
                     mem.write_u8(init.addr + i as u64, *b);
                 }
             }
+            let insts = program
+                .insts
+                .iter()
+                .map(|i| Inst {
+                    op: i.op,
+                    rd: i.rd.index() as u8,
+                    rs1: i.rs1.index() as u8,
+                    rs2: i.rs2.index() as u8,
+                    imm: i.imm,
+                })
+                .collect();
             Machine {
-                program,
+                insts,
                 regs: [0; NUM_REGS],
                 pc: program.entry,
                 mem,
@@ -279,9 +334,9 @@ mod frozen {
         }
 
         fn write_rd(&mut self, inst: &Inst, value: u64) -> Option<u64> {
-            if inst.op.writes_rd() {
-                if !inst.rd.is_zero() {
-                    self.regs[inst.rd.index()] = value;
+            if writes_rd(inst.op) {
+                if !is_zero(inst.rd) {
+                    self.regs[reg_index(inst.rd)] = value;
                 }
                 Some(value)
             } else {
@@ -293,15 +348,14 @@ mod frozen {
             if self.halted {
                 return Ok(StepOutcome::Halted);
             }
-            let len = self.program.insts.len();
+            let len = self.insts.len();
             let inst = *self
-                .program
                 .insts
                 .get(self.pc as usize)
                 .ok_or(ExecError::PcOutOfRange { pc: self.pc, len })?;
             let pc = self.pc;
-            let rs1 = self.regs[inst.rs1.index()];
-            let rs2 = self.regs[inst.rs2.index()];
+            let rs1 = self.regs[reg_index(inst.rs1)];
+            let rs2 = self.regs[reg_index(inst.rs2)];
             let imm = inst.imm;
 
             let mut next_pc = pc + 1;
@@ -315,14 +369,14 @@ mod frozen {
                 Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | Fld => {
                     let a = rs1.wrapping_add(imm as u64);
                     addr = Some(a);
-                    let width = inst.op.mem_width().expect("load has width");
+                    let width = mem_width(inst.op).expect("load has width");
                     let raw = self.mem.read(a, width);
                     rd_value = self.write_rd(&inst, load_extend(inst.op, raw));
                 }
                 Sb | Sh | Sw | Sd | Fsd => {
                     let a = rs1.wrapping_add(imm as u64);
                     addr = Some(a);
-                    let width = inst.op.mem_width().expect("store has width");
+                    let width = mem_width(inst.op).expect("store has width");
                     self.mem.write(a, width, rs2);
                     store_value = Some(rs2);
                 }

@@ -1,27 +1,24 @@
-//! E18 — live-points: checkpointed, parallel sampled simulation.
+//! E18 — live-points: parallel windows vs the serial walk.
 //!
 //! Runs the long-run suite (plus one RV32 program, so both frontends are
-//! covered) under the standard ≥10× sampling regime three times against
-//! the same cache directory:
+//! covered) under the standard ≥10× sampling regime twice:
 //!
-//! 1. **cold** — live-point snapshots enabled but absent: one pass of
-//!    continuous functional warming per (workload, machine-shape) job,
-//!    detailed windows fanned out across the worker pool, snapshots
-//!    stored;
-//! 2. **snapshot-warm** — the same configuration replayed: every job
-//!    loads its stored live-points, functional warming is skipped
-//!    entirely (zero instructions warmed), only the detailed windows run;
-//! 3. **snapshots off** — the control: warming repeats and the cache is
-//!    neither consulted nor written.
+//! 1. **serial walk** — `threads(1)`: every (workload, machine) job plans
+//!    by one pass of functional warming and then runs its detailed
+//!    windows one after another on the calling thread;
+//! 2. **parallel windows** — the session's default pool (or
+//!    `--threads=N`): planning fans out across jobs, and every plan's
+//!    detailed windows fan out across the same pool, each on its own
+//!    in-memory live-point.
 //!
-//! The experiment reports wall-clock, snapshot hit/miss counts, and
-//! instructions warmed per phase, and checks the projected figures are
-//! bit-identical across all three — the live-point contract: checkpoints
-//! buy time, never accuracy.
+//! The experiment reports wall-clock and instructions warmed per phase,
+//! and checks the projected figures are bit-identical across both — the
+//! live-point contract: parallel windows buy time, never accuracy.
 //!
 //! Accepts the shared [`fgstp_sim::ExperimentSpec`] flag vocabulary
-//! (scale word, `--threads=N`, `--sample=I,W,D`) plus `--csv`; the cache
-//! directory is a private temporary one so the cold leg is really cold.
+//! (scale word, `--threads=N`, `--sample=I,W,D`) plus `--csv`. Traces are
+//! cached in a private temporary directory before either phase, so both
+//! phases time sampled simulation, not tracing.
 
 use std::time::Instant;
 
@@ -62,75 +59,60 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("fgstp-e18-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let s = args.session().cache_dir(&dir);
+    s.par_map(&workloads, |w| s.trace(w));
 
-    // Pre-populate the trace cache so every phase's wall-clock measures
-    // sampled simulation, not tracing.
-    {
-        let s = args.session().cache_dir(&dir);
-        s.par_map(&workloads, |w| s.trace(w));
-    }
-
-    let run_phase = |snapshots: bool| {
-        let s = args
+    // A fresh session per phase, so its warming counter is its own.
+    let run_phase = |threads: Option<usize>| {
+        let mut s = args
             .session()
             .cache_dir(&dir)
-            .snapshots(snapshots)
             .sample(scfg)
             .machines(machines);
+        if let Some(n) = threads {
+            s = s.threads(n);
+        }
         let t0 = Instant::now();
         let results = s.plan().workloads(workloads.clone()).execute();
-        (results, s.snapshot_stats(), t0.elapsed())
+        (results, s.snapshot_stats().warmed_insts, t0.elapsed())
     };
 
-    let (cold, cold_stats, cold_wall) = run_phase(true);
-    let (warm, warm_stats, warm_wall) = run_phase(true);
-    let (off, off_stats, off_wall) = run_phase(false);
+    let serial = run_phase(Some(1));
+    let parallel = run_phase(None);
 
-    let reference = figures(&cold);
-    let phases = [
-        ("cold (store)", &cold, cold_stats, cold_wall),
-        ("snapshot-warm", &warm, warm_stats, warm_wall),
-        ("snapshots off", &off, off_stats, off_wall),
-    ];
+    let reference = figures(&serial.0);
+    let phases = [("serial walk", &serial), ("parallel windows", &parallel)];
     let mut table = Table::new([
         "phase",
         "wall (ms)",
-        "live-points",
         "insts warmed",
         "geomean speedup",
         "identical",
     ]);
     let mut all_identical = true;
-    for (name, results, stats, wall) in &phases {
+    for (name, (results, warmed, wall)) in phases {
         let identical = figures(results) == reference;
         all_identical &= identical;
         table.row([
-            (*name).to_owned(),
+            name.to_owned(),
             format!("{:.0}", wall.as_secs_f64() * 1e3),
-            format!("{} hit / {} miss", stats.hits, stats.misses),
-            format!("{}", stats.warmed_insts),
+            format!("{warmed}"),
             format!("{:.3}", geomean_speedup(results)),
             if identical { "yes" } else { "NO" }.to_owned(),
         ]);
     }
     print_experiment(
         "E18",
-        "live-points: snapshot-warm parallel sampling vs cold warming",
+        "live-points: parallel windows vs serial walk",
         &args,
         &table,
     );
     println!(
-        "snapshot-warm replay: {:.2}x the cold wall-clock, {} insts warmed (cold warmed {}); figures identical: {}",
-        warm_wall.as_secs_f64() / cold_wall.as_secs_f64(),
-        phases[1].2.warmed_insts,
-        cold_stats.warmed_insts,
+        "parallel windows: {:.2}x the serial wall-clock; figures identical: {}",
+        parallel.2.as_secs_f64() / serial.2.as_secs_f64(),
         if all_identical { "yes" } else { "NO" }
     );
-    assert!(all_identical, "live-points changed the figures");
-    assert_eq!(
-        phases[1].2.warmed_insts, 0,
-        "snapshot-warm phase must skip functional warming entirely"
-    );
+    assert!(all_identical, "parallel windows changed the figures");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

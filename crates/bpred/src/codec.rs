@@ -2,11 +2,9 @@
 //! state snapshots (see [`crate::DirectionPredictor::save_state`]).
 //!
 //! The format is deliberately dumb: fixed-width `u64` scalars and
-//! length-prefixed byte runs, no framing. Versioning, checksumming and
-//! corruption fallback live in the snapshot *container*
-//! (`fgstp-tracefile`); these helpers only have to be exact and to fail
-//! loudly (with an `Err`, never a panic) on any length mismatch so a
-//! corrupt-but-checksum-valid payload can still be rejected.
+//! length-prefixed byte runs, no framing, no versioning — the payloads
+//! never leave the process. These helpers only have to be exact and to
+//! fail loudly (with an `Err`, never a panic) on any length mismatch.
 
 /// Appends `v` as 8 little-endian bytes.
 pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {

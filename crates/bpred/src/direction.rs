@@ -13,8 +13,7 @@ use crate::codec::{put_bytes, put_u64, take_bytes_exact, take_u64};
 /// Predictors are snapshottable for checkpointed sampling: `save_state`
 /// serializes the trained tables, `load_state` restores them into a
 /// predictor *of the same shape* (same [`PredictorKind`], same index
-/// bits). A shape mismatch is reported as an `Err`, never a panic, so a
-/// stale snapshot degrades to a re-warm instead of taking the run down.
+/// bits). A shape mismatch is reported as an `Err`, never a panic.
 pub trait DirectionPredictor {
     /// Predicts the direction of the branch at `pc`.
     fn predict(&self, pc: u64) -> bool;

@@ -2,9 +2,9 @@
 //! snapshots (see [`crate::Cache::save_state`]).
 //!
 //! Deliberately dumb fixed-width scalars, mirroring the helpers in
-//! `fgstp-bpred`: versioning, checksumming and corruption fallback belong
-//! to the snapshot container in `fgstp-tracefile`. These only have to be
-//! exact and to reject any shape mismatch with an `Err`, never a panic.
+//! `fgstp-bpred`: the payloads never leave the process, so there is no
+//! versioning or checksumming. These only have to be exact and to reject
+//! any shape mismatch with an `Err`, never a panic.
 
 /// Appends `v` as 8 little-endian bytes.
 pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {

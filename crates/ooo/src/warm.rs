@@ -73,9 +73,9 @@ impl WarmState {
     }
 
     /// Serializes the full warm state — hierarchy, predictor bundle and
-    /// architectural registers — into one byte payload. The payload is
-    /// shape-checked but unversioned and unchecksummed; the snapshot
-    /// container in `fgstp-tracefile` adds both.
+    /// architectural registers — into one byte payload: a sampled window's
+    /// in-memory live-point. The payload is shape-checked but unversioned
+    /// and unchecksummed, since it never leaves the process.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.mem.save_warm_state(&mut out);

@@ -26,10 +26,7 @@
 //! Because windows never share mutable state, they can run in any order
 //! or concurrently — [`run_plan`] accepts a [`WindowPool`] hook — and the
 //! merged results are bit-identical to the serial walk at any pool size.
-//! The serialized live-points are also exactly what the
-//! `fgstp-tracefile` snapshot cache persists: a re-run of a swept config
-//! converts the stored [`SnapshotData`] back into a plan with
-//! [`SamplePlan::plan_replay`] and skips functional warming entirely.
+//! Live-points live in memory only: every sampled run plans cold.
 //!
 //! Per-interval CPIs aggregate into a point estimate with a 95%
 //! confidence interval ([`Estimate`], CLT over interval means) from which
@@ -153,9 +150,9 @@ pub struct WindowSpec {
 }
 
 /// The detailed-window schedule for a trace of `total` instructions under
-/// regime `scfg` — a pure function of the two, which is what lets a
-/// stored snapshot be validated against a cached trace *before* either is
-/// replayed.
+/// regime `scfg` — a pure function of the two, which is what lets
+/// [`SnapshotData::matches`] check live-points against a trace length
+/// alone.
 ///
 /// Every `interval`-instruction chunk whose length reaches `warmup +
 /// detail` contributes one window over its last `warmup + detail`
@@ -230,18 +227,19 @@ pub struct SamplePlan {
     /// Serialized end-of-trace warm state.
     pub final_state: Vec<u8>,
     /// Instructions functionally warmed while building this plan: the
-    /// whole trace when planned cold, zero when replayed from a snapshot.
+    /// whole trace when planned cold, zero when rebuilt by
+    /// [`SamplePlan::plan_replay`].
     pub warmed_insts: u64,
-    /// Whether this plan was replayed from a stored snapshot.
-    pub snapshot_hit: bool,
 }
 
-/// The persistable live-points of a plan: exactly what the
-/// `fgstp-tracefile` snapshot container stores, kept as a separate type
-/// here so this crate stays independent of the on-disk format.
+/// The live-points of a plan, detached from its window instructions.
+///
+/// Kept only until the next benchmark change drops `perfbench`'s use
+/// of it, together with [`SamplePlan::to_snapshot`] and
+/// [`SamplePlan::plan_replay`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotData {
-    /// Trace length the snapshot was taken over.
+    /// Trace length the live-points were taken over.
     pub total_insts: u64,
     /// (window start, serialized pre-window warm state), in schedule
     /// order.
@@ -251,10 +249,9 @@ pub struct SnapshotData {
 }
 
 impl SnapshotData {
-    /// Whether the snapshot's window placement matches the schedule that
-    /// (`total`, `scfg`) implies. Callers check this *before* consuming a
-    /// trace stream, so a stale or mismatched snapshot degrades to cold
-    /// planning with the stream intact.
+    /// Whether the live-points' window placement matches the schedule
+    /// that (`total`, `scfg`) implies. Kept only until the next benchmark
+    /// change, like [`SnapshotData`].
     pub fn matches(&self, total: u64, scfg: &SampleConfig) -> bool {
         if self.total_insts != total {
             return false;
@@ -266,26 +263,6 @@ impl SnapshotData {
                 .iter()
                 .zip(&schedule)
                 .all(|((start, _), spec)| *start == spec.start)
-    }
-
-    /// Full validation: schedule placement plus every state payload
-    /// deserializing cleanly for the machine shape (`cfg`, `hcfg`). Like
-    /// [`SnapshotData::matches`] this needs no trace data, so a snapshot
-    /// whose payloads are malformed (or were taken on a different machine
-    /// shape) is rejected before any stream is consumed.
-    pub fn validate(
-        &self,
-        total: u64,
-        cfg: &CoreConfig,
-        hcfg: &HierarchyConfig,
-        scfg: &SampleConfig,
-    ) -> bool {
-        self.matches(total, scfg)
-            && WarmState::from_state_bytes(cfg, hcfg, &self.final_state).is_ok()
-            && self
-                .windows
-                .iter()
-                .all(|(_, state)| WarmState::from_state_bytes(cfg, hcfg, state).is_ok())
     }
 }
 
@@ -373,20 +350,19 @@ impl SamplePlan {
             jobs,
             final_state: warm.save_state(),
             warmed_insts: total,
-            snapshot_hit: false,
         }
     }
 
-    /// Rebuilds a plan from a stored snapshot and the trace it was taken
-    /// over, with **zero** functional warming: the trace is only decoded
-    /// to recover each window's instructions.
+    /// Rebuilds a plan from its live-points and the trace they were taken
+    /// over, with **zero** functional warming: the trace is only read to
+    /// recover each window's instructions. Kept only until the next
+    /// benchmark change drops `perfbench`'s use of it.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot does not match the trace and regime —
-    /// callers gate on [`SnapshotData::matches`] (or
-    /// [`SnapshotData::validate`]) first, which needs only the trace
-    /// *length*, not its contents.
+    /// Panics if the live-points do not match the trace and regime —
+    /// callers gate on [`SnapshotData::matches`] first, which needs only
+    /// the trace *length*, not its contents.
     pub fn plan_replay(
         trace: impl IntoIterator<Item = DynInst>,
         snap: SnapshotData,
@@ -435,11 +411,11 @@ impl SamplePlan {
             jobs,
             final_state: snap.final_state,
             warmed_insts: 0,
-            snapshot_hit: true,
         }
     }
 
-    /// Extracts the persistable live-points of this plan.
+    /// Extracts the live-points of this plan. Kept only until the next
+    /// benchmark change drops `perfbench`'s use of it.
     pub fn to_snapshot(&self) -> SnapshotData {
         SnapshotData {
             total_insts: self.total_insts,
@@ -468,10 +444,8 @@ pub struct SampledRun {
     pub functional_insts: u64,
     /// Instructions actually retired through the functional-warming fast
     /// path while building the plan: the whole trace when planned cold,
-    /// zero when the live-points came from a snapshot.
+    /// zero for a plan rebuilt by [`SamplePlan::plan_replay`].
     pub warmed_insts: u64,
-    /// Whether the run's live-points were loaded from a stored snapshot.
-    pub snapshot_hit: bool,
     /// Per-interval measurements, in trace order.
     pub intervals: Vec<IntervalMeasure>,
     /// CPI point estimate over the interval means.
@@ -550,9 +524,8 @@ impl SampledRun {
 ///
 /// # Panics
 ///
-/// Panics if the live-point does not deserialize for this machine shape —
-/// impossible for plan-produced jobs, and snapshot-replayed jobs are
-/// validated up front by [`SnapshotData::validate`].
+/// Panics if the live-point does not deserialize for this machine shape,
+/// which cannot happen for jobs planned with that shape.
 fn run_window<M: TimingModel, S: CycleSink>(
     job: &WindowJob,
     model: &M,
@@ -635,7 +608,6 @@ pub fn run_plan<M: TimingModel + Sync, S: CycleSink>(
         detailed_insts,
         functional_insts: plan.total_insts - detailed_insts,
         warmed_insts: plan.warmed_insts,
-        snapshot_hit: plan.snapshot_hit,
         intervals,
         cpi: Estimate::from_samples(&cpis),
         detail_core_cycles,
@@ -749,7 +721,6 @@ mod tests {
         assert_eq!(r.intervals.len(), (t.len() as u64 / 1_000) as usize);
         assert!(r.detail_reduction() > 2.0);
         assert_eq!(r.warmed_insts, r.total_insts, "cold plan warms everything");
-        assert!(!r.snapshot_hit);
     }
 
     #[test]
@@ -908,11 +879,9 @@ mod tests {
             let cold_plan = SamplePlan::plan(t.insts(), &cfg, &hcfg, &scfg());
             let snap = cold_plan.to_snapshot();
             assert!(snap.matches(t.len() as u64, &scfg()));
-            assert!(snap.validate(t.len() as u64, &cfg, &hcfg, &scfg()));
             assert!(!snap.matches(t.len() as u64 + 1, &scfg()));
             let warm_plan = SamplePlan::plan_replay(t.insts().iter().copied(), snap, &scfg());
             assert_eq!(warm_plan.warmed_insts, 0, "replay does no warming");
-            assert!(warm_plan.snapshot_hit);
             let cold = run_plan(&cold_plan, &cfg, &hcfg, None, &mut NullSink);
             let warm = run_plan(&warm_plan, &cfg, &hcfg, None, &mut NullSink);
             assert_eq!(fingerprint(&warm), fingerprint(&cold), "iters {iters}");
@@ -936,8 +905,6 @@ mod tests {
             detail: 50,
         };
         assert!(!snap.matches(total, &other));
-        // Wrong machine shape fails payload validation.
-        assert!(!snap.validate(total, &cfg, &HierarchyConfig::small(2), &scfg()));
     }
 
     #[test]

@@ -191,8 +191,7 @@ fn run_job(
         }
         let stats = session.cache_stats();
         queue.add_trace_stats(stats.hits, stats.misses);
-        let ss = session.snapshot_stats();
-        queue.add_snapshot_stats(ss.hits, ss.misses, ss.warmed_insts);
+        queue.add_warmed_insts(session.snapshot_stats().warmed_insts);
         return match failure {
             None => Ok(()),
             Some(e) => Err(e),
@@ -215,8 +214,7 @@ fn run_job(
     }
     let stats = session.cache_stats();
     queue.add_trace_stats(stats.hits, stats.misses);
-    let ss = session.snapshot_stats();
-    queue.add_snapshot_stats(ss.hits, ss.misses, ss.warmed_insts);
+    queue.add_warmed_insts(session.snapshot_stats().warmed_insts);
     match failure {
         None => Ok(()),
         Some(e) => Err(e),

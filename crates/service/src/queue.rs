@@ -273,18 +273,13 @@ impl JobQueue {
         g.registry.inc("service.trace-misses", misses);
     }
 
-    /// Adds live-point snapshot counts observed while running a sampled
-    /// job, under the shared [`fgstp_telemetry::names`] keys — a daemon
-    /// serving snapshot-warm reruns shows hits climbing while
-    /// `sampling.warmed-insts` stays flat.
-    pub fn add_snapshot_stats(&self, hits: u64, misses: u64, warmed_insts: u64) {
-        if hits == 0 && misses == 0 && warmed_insts == 0 {
+    /// Adds the instructions a sampled job functionally warmed, under
+    /// [`fgstp_telemetry::names::WARMED_INSTS`].
+    pub fn add_warmed_insts(&self, warmed_insts: u64) {
+        if warmed_insts == 0 {
             return;
         }
         let mut g = self.inner.lock().unwrap();
-        g.registry.inc(fgstp_telemetry::names::SNAPSHOT_HITS, hits);
-        g.registry
-            .inc(fgstp_telemetry::names::SNAPSHOT_MISSES, misses);
         g.registry
             .inc(fgstp_telemetry::names::WARMED_INSTS, warmed_insts);
     }

@@ -5,7 +5,7 @@
 //! * `list` — the workload suite;
 //! * `run <workload> [machine] [scale] [flags]` — one run with full
 //!   statistics. The flags are the [`ExperimentSpec`] vocabulary
-//!   (`--cores`, `--sample`, `--sample-interval`, `--snapshot`, ...),
+//!   (`--cores`, `--sample`, `--sample-interval`, ...),
 //!   parsed by [`ExperimentSpec::apply_arg`] and checked by
 //!   [`ExperimentSpec::validate`]; a value flag takes `--flag N` as well
 //!   as `--flag=N`. Two flags are CLI-local: `--cpi-stack` appends the
@@ -38,7 +38,7 @@ use crate::spec::{parse_machine, parse_scale, ExperimentSpec, SpecError};
 /// The full command-line synopsis, attached to every usage error.
 const USAGE: &str = "usage: fgstpsim <list | run <workload> [machine] [scale] [--cpi-stack] \
 [--chrome-trace <path>] [--cores N] [--sample] [--sample-interval N] [--sample-warmup N] \
-[--sample-detail N] [--snapshot|--no-snapshot] | compare <workload> [scale] | \
+[--sample-detail N] | compare <workload> [scale] | \
 pipeview <workload> [first..last] | pipeview2 <workload> [first..last]>";
 
 /// Error for unknown CLI inputs, carrying a usage hint.
@@ -115,9 +115,6 @@ fn apply_flag<'a>(
 /// `fgstp-small` and the scale to `test`; a scale word in the machine
 /// position is accepted too (`run hmmer_dp test`), since users naturally
 /// drop the machine. `--telemetry` is a synonym of `--cpi-stack`.
-/// Sampled runs use live-point snapshots unless `--no-snapshot` is
-/// given: a re-run of the same configuration skips functional warming by
-/// replaying the stored warm states, bit-identically.
 pub fn run(args: &[&str]) -> Result<String, CliError> {
     let mut spec = ExperimentSpec {
         scale: Scale::Test,
@@ -243,12 +240,10 @@ pub fn run(args: &[&str]) -> Result<String, CliError> {
             s.total_insts,
             s.detail_reduction()
         );
-        let st = session.snapshot_stats();
-        let source = if st.hits > 0 { "replayed" } else { "stored" };
         let _ = writeln!(
             out,
-            "live-points: {} hit / {} miss ({source}), {} insts warmed",
-            st.hits, st.misses, st.warmed_insts
+            "warming:   {} insts functionally warmed",
+            s.warmed_insts
         );
     }
     for (i, c) in r.result.cores.iter().enumerate() {
@@ -632,9 +627,10 @@ mod tests {
             "hmmer_dp".into(),
             "--sample".into(),
             "--cores".into(),
-            "2".into(),
-        ]);
-        assert!(cores.is_err());
+            "4".into(),
+        ])
+        .expect("a core override composes with sampling");
+        assert!(cores.contains("sampling:"), "{cores}");
         let oversized = dispatch(&[
             "run".into(),
             "hmmer_dp".into(),
@@ -660,13 +656,10 @@ mod tests {
     #[test]
     fn sample_exclusion_matrix() {
         let sample_forms: [&[&str]; 2] = [&["--sample"], &["--sample-interval", "2000"]];
-        let excluded: [(&[&str], &str); 2] = [
-            (&["--cores", "2"], "--cores"),
-            (
-                &["--chrome-trace", "/tmp/fgstp-matrix.json"],
-                "--chrome-trace",
-            ),
-        ];
+        let excluded: [(&[&str], &str); 1] = [(
+            &["--chrome-trace", "/tmp/fgstp-matrix.json"],
+            "--chrome-trace",
+        )];
         for sample in sample_forms {
             for (conflict, flag) in excluded {
                 for order in 0..2 {
@@ -687,7 +680,7 @@ mod tests {
                 }
             }
         }
-        // Both conflicts at once still fail (whichever is reported first).
+        // A valid core override does not mask the conflict.
         let e = dispatch(&[
             "run".into(),
             "hmmer_dp".into(),

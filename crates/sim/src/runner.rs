@@ -198,9 +198,7 @@ pub(crate) fn resolve(kind: MachineKind, cores: Option<usize>) -> (Model, Hierar
 
 /// The functional-warming machine shape a preset samples with: the core
 /// configuration (an Fg-STP preset warms with its per-core config) and
-/// the hierarchy built for the preset's core count. Live-point snapshots
-/// are keyed on a fingerprint of this shape, so a preset change orphans
-/// its stored snapshots instead of replaying them on the wrong machine.
+/// the hierarchy built for the preset's core count.
 pub fn warm_shape(kind: MachineKind) -> (CoreConfig, HierarchyConfig) {
     let (model, hcfg) = resolve(kind, None);
     (model.base_core().clone(), hcfg)

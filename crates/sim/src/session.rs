@@ -43,10 +43,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fgstp_isa::{DynInst, Trace};
-use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::{CoreConfig, TimingModel};
-use fgstp_sampling::{SampleConfig, SamplePlan, SnapshotData, WindowExec, WindowJob, WindowPool};
-use fgstp_tracefile::{fnv1a, OwnedTraceReader, SnapshotFile, TraceCache};
+use fgstp_ooo::TimingModel;
+use fgstp_sampling::{SampleConfig, SamplePlan, WindowExec, WindowJob, WindowPool};
+use fgstp_tracefile::{OwnedTraceReader, TraceCache};
 use fgstp_workloads::{by_name, suite, Scale, Workload};
 
 use crate::presets::MachineKind;
@@ -64,19 +63,18 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Live-point snapshot counters of one [`Session`] (sampled runs only);
-/// see [`Session::snapshot_stats`]. The canonical metric names for these
-/// are in [`fgstp_telemetry::names`].
+/// Functional-warming counters of one [`Session`] (sampled runs only);
+/// see [`Session::snapshot_stats`]. Kept in this shape only until the
+/// next benchmark change drops `perfbench`'s use of `hits` and
+/// `misses`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotStats {
-    /// Sampled runs replayed from a stored snapshot — functional warming
-    /// skipped entirely.
+    /// Always 0: live-points are never stored, so none are loaded.
     pub hits: u64,
-    /// Sampled runs that warmed cold (no usable snapshot; one is stored
-    /// for next time when snapshots are enabled).
+    /// Always 0, like `hits`.
     pub misses: u64,
     /// Instructions retired through the functional-warming fast path
-    /// across all sampled runs. Zero across a fully snapshot-warm rerun.
+    /// across all sampled runs.
     pub warmed_insts: u64,
 }
 
@@ -84,8 +82,6 @@ pub struct SnapshotStats {
 struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
-    snapshot_hits: AtomicU64,
-    snapshot_misses: AtomicU64,
     warmed_insts: AtomicU64,
 }
 
@@ -172,7 +168,6 @@ pub struct Session {
     telemetry: bool,
     sample: Option<SampleConfig>,
     corun: Option<CoRunSpec>,
-    snapshot: bool,
 }
 
 impl Default for Session {
@@ -199,7 +194,6 @@ impl Session {
             telemetry: false,
             sample: None,
             corun: None,
-            snapshot: true,
         }
     }
 
@@ -239,8 +233,7 @@ impl Session {
     ///
     /// Runs panic if the machine set contains a non-Fg-STP preset (those
     /// machines have a fixed shape); [`crate::ExperimentSpec::validate`]
-    /// rejects that (and, for now, `--cores` with `--sample`) before a
-    /// session is built.
+    /// rejects that before a session is built.
     pub fn cores(mut self, n: usize) -> Session {
         self.cores = Some(n);
         self
@@ -272,29 +265,10 @@ impl Session {
         self
     }
 
-    /// Disables the trace cache: every trace is regenerated (and, since
-    /// snapshots live in the same cache directory, live-points are
-    /// neither loaded nor stored).
+    /// Disables the trace cache: every trace is regenerated.
     pub fn no_cache(mut self) -> Session {
         self.cache = None;
         self
-    }
-
-    /// Enables or disables live-point snapshots for sampled runs
-    /// (default **on** whenever a cache directory is configured). With
-    /// snapshots on, a sampled run persists its per-window warm states
-    /// next to the trace cache and a re-run of the same (workload,
-    /// machine shape, regime) skips functional warming entirely by
-    /// replaying them. Estimates are bit-identical either way — the
-    /// toggle only changes where the warm state comes from.
-    pub fn snapshots(mut self, on: bool) -> Session {
-        self.snapshot = on;
-        self
-    }
-
-    /// Shorthand for [`Session::snapshots`]`(false)`.
-    pub fn no_snapshot(self) -> Session {
-        self.snapshots(false)
     }
 
     /// Enables per-cycle stall accounting: every run carries its merged
@@ -347,96 +321,33 @@ impl Session {
         }
     }
 
-    /// Live-point snapshot hits, misses and warmed instructions since
-    /// this session was created (sampled runs only — zero otherwise).
+    /// Instructions functionally warmed by sampled runs since this
+    /// session was created (zero otherwise); `hits` and `misses` always
+    /// read 0. The name and the two zero fields stay only until the next
+    /// benchmark change drops `perfbench`'s use of them.
     pub fn snapshot_stats(&self) -> SnapshotStats {
         SnapshotStats {
-            hits: self.counters.snapshot_hits.load(Ordering::Relaxed),
-            misses: self.counters.snapshot_misses.load(Ordering::Relaxed),
+            hits: 0,
+            misses: 0,
             warmed_insts: self.counters.warmed_insts.load(Ordering::Relaxed),
         }
     }
 
-    /// The snapshot-cache key of one sampled run: the workload's trace
-    /// key, the machine label, the sampling regime, and an FNV-1a
-    /// fingerprint of the functional-warming shape (core + hierarchy
-    /// configuration). Any change to the preset's warm shape re-keys its
-    /// snapshots, so a stale live-point can never replay on the wrong
-    /// machine; [`fgstp_tracefile::SNAPSHOT_VERSION`] is appended by the
-    /// cache itself.
-    fn snapshot_key(
-        &self,
-        w: &Workload,
-        kind: MachineKind,
-        ccfg: &CoreConfig,
-        hcfg: &HierarchyConfig,
-        scfg: &SampleConfig,
-    ) -> String {
-        let shape = fnv1a(format!("{ccfg:?}|{hcfg:?}").as_bytes());
-        format!(
-            "{}-{}-i{}w{}d{}-{shape:016x}",
-            self.trace_key(w),
-            kind.label(),
-            scfg.interval,
-            scfg.warmup,
-            scfg.detail
-        )
-    }
-
     /// Plans one sampled run of `kind` (with the Fg-STP core count
-    /// overridden to `cores` when set), preferring a stored live-point
-    /// snapshot: a valid snapshot replays with zero functional warming;
-    /// anything else (missing, corrupt, stale schedule, wrong machine
-    /// shape) silently degrades to cold planning, which then stores a
-    /// fresh snapshot for next time. The session's snapshot counters
-    /// record which path ran.
+    /// overridden to `cores` when set) by functional warming in memory,
+    /// counting the warmed instructions.
     fn sampled_plan(
         &self,
-        w: &Workload,
         insts: &[DynInst],
         kind: MachineKind,
         cores: Option<usize>,
         scfg: &SampleConfig,
     ) -> SamplePlan {
         let (model, hcfg) = resolve(kind, cores);
-        let ccfg = model.base_core();
-        let total = insts.len() as u64;
-        let cache = self.cache.as_ref().filter(|_| self.snapshot);
-        let key = cache.map(|_| self.snapshot_key(w, kind, ccfg, &hcfg, scfg));
-        if let (Some(cache), Some(key)) = (cache, &key) {
-            if let Some(file) = cache.load_snapshot(key) {
-                let snap = SnapshotData {
-                    total_insts: file.total_insts,
-                    windows: file.windows,
-                    final_state: file.final_state,
-                };
-                // Full validation needs no trace data, so a bad snapshot
-                // is rejected before anything is consumed.
-                if snap.validate(total, ccfg, &hcfg, scfg) {
-                    self.counters.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                    return SamplePlan::plan_replay(insts.iter().copied(), snap, scfg);
-                }
-            }
-            self.counters
-                .snapshot_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let plan = SamplePlan::plan(insts, ccfg, &hcfg, scfg);
+        let plan = SamplePlan::plan(insts, model.base_core(), &hcfg, scfg);
         self.counters
             .warmed_insts
             .fetch_add(plan.warmed_insts, Ordering::Relaxed);
-        if let (Some(cache), Some(key)) = (cache, &key) {
-            let s = plan.to_snapshot();
-            // A failed store only costs the next run a re-warm.
-            let _ = cache.store_snapshot(
-                key,
-                &SnapshotFile {
-                    total_insts: s.total_insts,
-                    windows: s.windows,
-                    final_state: s.final_state,
-                },
-            );
-        }
         plan
     }
 
@@ -575,7 +486,7 @@ impl Session {
         let plans: Vec<SamplePlan> = match &self.sample {
             Some(scfg) => self.par_map(&idx, |&i| {
                 let t = traces[i].insts();
-                self.sampled_plan(&workloads[i], t, kind, Some(cores[i]), scfg)
+                self.sampled_plan(t, kind, Some(cores[i]), scfg)
             }),
             None => Vec::new(),
         };
@@ -676,15 +587,13 @@ impl RunPlan<'_> {
         };
         let runs: Vec<MachineRun> = if let Some(scfg) = &session.sample {
             // Sampled jobs run in two phases. Planning — one pass of
-            // functional warming per job, or a zero-warming snapshot
-            // replay — fans out across jobs. Execution then dispatches
-            // every plan's pure detailed windows over the same worker
-            // pool; results merge in systematic-interval order either
-            // way, so estimates are bit-identical at any pool size (and
-            // cold vs. snapshot-warm, since both paths run windows from
-            // the identical serialized state).
+            // functional warming per job — fans out across jobs.
+            // Execution then dispatches every plan's pure detailed
+            // windows over the same worker pool; results merge in
+            // systematic-interval order either way, so estimates are
+            // bit-identical at any pool size.
             let plans = session.par_map(&jobs, |&(wi, kind)| {
-                session.sampled_plan(&self.workloads[wi], trace_of(wi), kind, req.cores, scfg)
+                session.sampled_plan(trace_of(wi), kind, req.cores, scfg)
             });
             jobs.iter()
                 .zip(&plans)
@@ -1061,63 +970,6 @@ mod tests {
                     x.sampled.as_ref().unwrap().intervals,
                     z.sampled.as_ref().unwrap().intervals
                 );
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn snapshot_warm_rerun_skips_all_warming() {
-        let dir = temp_dir("snap");
-        let _ = std::fs::remove_dir_all(&dir);
-        let scfg = SampleConfig {
-            interval: 2_000,
-            warmup: 300,
-            detail: 150,
-        };
-        let run = |snapshots: bool| {
-            let s = Session::new()
-                .scale(Scale::Test)
-                .threads(2)
-                .cache_dir(&dir)
-                .snapshots(snapshots)
-                .sample(scfg);
-            let r = s
-                .plan()
-                .workload_names(&["perl_hash"])
-                .machines([MachineKind::FgstpSmall, MachineKind::SingleSmall])
-                .execute();
-            (r, s.snapshot_stats())
-        };
-        let (cold, cs) = run(true);
-        assert_eq!((cs.hits, cs.misses), (0, 2), "cold run misses per job");
-        assert!(cs.warmed_insts > 0, "cold planning warms the trace");
-        let (warm, ws) = run(true);
-        assert_eq!(
-            (ws.hits, ws.misses),
-            (2, 0),
-            "rerun replays stored live-points"
-        );
-        assert_eq!(ws.warmed_insts, 0, "snapshot-warm rerun does zero warming");
-        for (a, b) in cold.iter().zip(&warm) {
-            for (x, y) in a.runs.iter().zip(&b.runs) {
-                assert_eq!(x.result.cycles, y.result.cycles, "cold == snapshot-warm");
-                assert_eq!(
-                    x.sampled.as_ref().unwrap().intervals,
-                    y.sampled.as_ref().unwrap().intervals
-                );
-                assert!(!x.sampled.as_ref().unwrap().snapshot_hit);
-                assert!(y.sampled.as_ref().unwrap().snapshot_hit);
-            }
-        }
-        // Snapshots off: live-points are neither consulted nor stored,
-        // warming runs again, figures stay bit-identical.
-        let (off, os) = run(false);
-        assert_eq!((os.hits, os.misses), (0, 0));
-        assert!(os.warmed_insts > 0);
-        for (a, b) in cold.iter().zip(&off) {
-            for (x, y) in a.runs.iter().zip(&b.runs) {
-                assert_eq!(x.result.cycles, y.result.cycles);
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

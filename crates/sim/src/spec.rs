@@ -23,7 +23,7 @@
 //! Validation is structural and total: [`ExperimentSpec::validate`]
 //! rejects unknown workload or machine names, zero core/thread counts,
 //! and unsatisfiable combinations (`--cores` on a non-Fg-STP machine,
-//! `--cores` × `--sample`, sample windows that do not fit the interval)
+//! sample windows that do not fit the interval)
 //! with a typed [`SpecError`] instead of panicking downstream — the
 //! error's [`SpecErrorKind`] crosses the daemon protocol as a stable
 //! string.
@@ -227,12 +227,6 @@ pub struct ExperimentSpec {
     pub threads: Option<usize>,
     /// Disable the on-disk trace cache (execution knob).
     pub no_cache: bool,
-    /// Use live-point snapshots for sampled runs (execution knob, on by
-    /// default): a sampled re-run then replays stored warm states
-    /// instead of re-warming. Results are bit-identical either way, so
-    /// the flag — like `threads` and `no_cache` — is not part of the
-    /// result identity.
-    pub snapshot: bool,
     /// Collect CPI stacks alongside timing.
     pub telemetry: bool,
     /// SMARTS-style sampling regime, off by default.
@@ -255,7 +249,6 @@ impl Default for ExperimentSpec {
             cores: None,
             threads: None,
             no_cache: false,
-            snapshot: true,
             telemetry: false,
             sample: None,
             corun: None,
@@ -268,8 +261,7 @@ impl Default for ExperimentSpec {
 pub const SPEC_USAGE: &str = "[test|small|reference] [--workloads=a,b,..] \
 [--machines=small-cmp|medium-cmp|all|scaling|<label,..>] [--cores=N] \
 [--threads=N] [--no-cache] [--telemetry] [--sample] [--sample-interval=N] \
-[--sample-warmup=N] [--sample-detail=N] [--snapshot] [--no-snapshot] \
-[--corun=wl[:cores],..] [--corun-isolated]";
+[--sample-warmup=N] [--sample-detail=N] [--corun=wl[:cores],..] [--corun-isolated]";
 
 impl ExperimentSpec {
     /// Applies one CLI argument to the spec. Returns `Ok(true)` when the
@@ -284,14 +276,6 @@ impl ExperimentSpec {
             }
             "--no-cache" => {
                 self.no_cache = true;
-                return Ok(true);
-            }
-            "--snapshot" => {
-                self.snapshot = true;
-                return Ok(true);
-            }
-            "--no-snapshot" => {
-                self.snapshot = false;
                 return Ok(true);
             }
             "--telemetry" => {
@@ -401,12 +385,6 @@ impl ExperimentSpec {
                 return Err(SpecError::new(
                     SpecErrorKind::Conflict,
                     format!("--cores only applies to Fg-STP machines, not {k}"),
-                ));
-            }
-            if self.sample.is_some() {
-                return Err(SpecError::new(
-                    SpecErrorKind::Conflict,
-                    "--cores cannot be combined with --sample",
                 ));
             }
         }
@@ -542,7 +520,6 @@ impl ExperimentSpec {
         if self.no_cache {
             s = s.no_cache();
         }
-        s = s.snapshots(self.snapshot);
         if let Some(scfg) = self.sample {
             s = s.sample(scfg);
         }
@@ -619,7 +596,6 @@ impl ExperimentSpec {
             ("cores".to_owned(), opt_num(self.cores)),
             ("threads".to_owned(), opt_num(self.threads)),
             ("no_cache".to_owned(), Json::Bool(self.no_cache)),
-            ("snapshot".to_owned(), Json::Bool(self.snapshot)),
             ("telemetry".to_owned(), Json::Bool(self.telemetry)),
             ("sample".to_owned(), sample),
             ("corun".to_owned(), corun),
@@ -691,12 +667,6 @@ impl ExperimentSpec {
                     spec.no_cache = match value {
                         Json::Bool(b) => *b,
                         _ => return Err(bad("spec field `no_cache` must be a bool".to_owned())),
-                    };
-                }
-                "snapshot" => {
-                    spec.snapshot = match value {
-                        Json::Bool(b) => *b,
-                        _ => return Err(bad("spec field `snapshot` must be a bool".to_owned())),
                     };
                 }
                 "telemetry" => {
@@ -784,31 +754,28 @@ impl ExperimentSpec {
     /// serve one from the other's cached results.
     ///
     /// The key normalizes away pure execution knobs (`threads`,
-    /// `no_cache`, `snapshot` — the worker pool, trace cache and
-    /// live-point snapshots never change a figure), resolves an empty
-    /// workload list to the concrete suite, and is versioned by the
-    /// trace-file format ([`fgstp_tracefile::VERSION`]), the live-point
-    /// snapshot format ([`fgstp_tracefile::SNAPSHOT_VERSION`]) and the
-    /// RV32 translation scheme ([`fgstp_rv::TRANSLATION_VERSION`]):
-    /// bumping any of them re-keys every job, exactly like it re-keys
-    /// the on-disk caches — so jobs resolved under different frontend or
-    /// warm-state semantics can never dedup against each other.
+    /// `no_cache` — the worker pool and trace cache never change a
+    /// figure), resolves an empty workload list to the concrete suite,
+    /// and is versioned by the trace-file format
+    /// ([`fgstp_tracefile::VERSION`]) and the RV32 translation scheme
+    /// ([`fgstp_rv::TRANSLATION_VERSION`]): bumping either re-keys every
+    /// job, exactly like it re-keys the on-disk cache — so jobs resolved
+    /// under different frontend semantics can never dedup against each
+    /// other.
     pub fn dedup_key(&self) -> String {
         let mut normalized = self.clone();
         normalized.threads = None;
         normalized.no_cache = false;
-        normalized.snapshot = true;
         if self.corun.is_none() {
             normalized.workloads = self.workload_names();
         }
         let mut body = normalized.to_json();
         if let Json::Obj(members) = &mut body {
-            members.retain(|(k, _)| k != "threads" && k != "no_cache" && k != "snapshot");
+            members.retain(|(k, _)| k != "threads" && k != "no_cache");
         }
         let mut key = format!(
-            "fgtr-v{}-ss{}-rv{}:",
+            "fgtr-v{}-rv{}:",
             fgstp_tracefile::VERSION,
-            fgstp_tracefile::SNAPSHOT_VERSION,
             fgstp_rv::TRANSLATION_VERSION
         );
         // Render on one line: the key is a map key, not a document.
@@ -844,7 +811,6 @@ mod tests {
             cores: Some(3),
             threads: Some(2),
             no_cache: true,
-            snapshot: true,
             telemetry: true,
             sample: None,
             corun: None,
@@ -876,7 +842,6 @@ mod tests {
             "--threads=2",
             "--no-cache",
             "--telemetry",
-            "--no-snapshot",
         ])
         .unwrap();
         assert_eq!(spec.scale, Scale::Test);
@@ -888,12 +853,7 @@ mod tests {
         assert_eq!(spec.cores, Some(3));
         assert_eq!(spec.threads, Some(2));
         assert!(spec.no_cache && spec.telemetry);
-        assert!(!spec.snapshot, "--no-snapshot turns live-points off");
         assert_eq!(ExperimentSpec::from_json(&spec.to_json()).unwrap(), spec);
-        // --snapshot restores the default explicitly.
-        let mut back = spec.clone();
-        back.apply_arg("--snapshot").unwrap();
-        assert!(back.snapshot);
     }
 
     #[test]
@@ -951,11 +911,12 @@ mod tests {
         s.cores = Some(0);
         assert_eq!(s.validate().unwrap_err().kind, SpecErrorKind::Value);
 
+        // A core override composes with sampling.
         let mut s = base.clone();
         s.machines = vec![MachineKind::FgstpSmall];
-        s.cores = Some(2);
+        s.cores = Some(4);
         s.sample = Some(SampleConfig::default());
-        assert_eq!(s.validate().unwrap_err().kind, SpecErrorKind::Conflict);
+        s.validate().unwrap();
 
         let mut s = base.clone();
         s.threads = Some(0);
@@ -990,6 +951,11 @@ mod tests {
         let e = ExperimentSpec::parse_json(r#"{"cores": 1.5}"#).unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::Json);
 
+        // The retired live-point switch is an unknown field like any other.
+        let e = ExperimentSpec::parse_json(r#"{"snapshot": false}"#).unwrap_err();
+        assert_eq!(e.kind, SpecErrorKind::Json);
+        assert!(e.message.contains("unknown spec field"), "{e}");
+
         let e = ExperimentSpec::parse_json("{not json").unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::Json);
 
@@ -1003,6 +969,8 @@ mod tests {
         let e = ExperimentSpec::from_args(&["--bogus"]).unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::UnknownFlag);
         assert!(e.message.contains("--workloads="), "{e}");
+        let e = ExperimentSpec::from_args(&["--no-snapshot"]).unwrap_err();
+        assert_eq!(e.kind, SpecErrorKind::UnknownFlag);
         let e = ExperimentSpec::from_args(&["--threads=lots"]).unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::Value);
     }
@@ -1016,11 +984,10 @@ mod tests {
         let mut b = a.clone();
         b.threads = Some(7);
         b.no_cache = true;
-        b.snapshot = false;
         assert_eq!(
             a.dedup_key(),
             b.dedup_key(),
-            "execution knobs (threads, caching, snapshots) normalize away"
+            "execution knobs (threads, caching) normalize away"
         );
 
         // An explicit full-suite workload list equals the implicit one.
@@ -1046,13 +1013,11 @@ mod tests {
 
         assert!(
             a.dedup_key().starts_with(&format!(
-                "fgtr-v{}-ss{}-rv{}:",
+                "fgtr-v{}-rv{}:",
                 fgstp_tracefile::VERSION,
-                fgstp_tracefile::SNAPSHOT_VERSION,
                 fgstp_rv::TRANSLATION_VERSION
             )),
-            "key is versioned by the trace format, the snapshot format \
-             and the RV translation"
+            "key is versioned by the trace format and the RV translation"
         );
     }
 

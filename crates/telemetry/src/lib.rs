@@ -53,14 +53,14 @@ pub mod sink;
 /// driver, the batch service) and consumer (CLI summaries, CI smoke
 /// checks), so a rename cannot silently decouple the two sides.
 pub mod names {
-    /// Sampled runs whose live-points were loaded from a stored snapshot
-    /// (functional warming skipped entirely).
+    /// Retired: no counter is recorded under this name any more. Kept
+    /// only until the next benchmark change drops `perfbench`'s read
+    /// of it.
     pub const SNAPSHOT_HITS: &str = "sampling.snapshot-hits";
-    /// Sampled runs that had to warm cold (no usable snapshot on disk).
+    /// Retired like [`SNAPSHOT_HITS`], and kept for the same reason.
     pub const SNAPSHOT_MISSES: &str = "sampling.snapshot-misses";
     /// Instructions retired through the functional-warming fast path
-    /// across all sampled runs. Zero on a fully snapshot-warm rerun —
-    /// the property the E18 smoke test asserts.
+    /// across all sampled runs.
     pub const WARMED_INSTS: &str = "sampling.warmed-insts";
 }
 

@@ -24,9 +24,9 @@
 //!
 //! Records are framed in blocks of [`BLOCK_INSTS`] instructions, each with
 //! its own checksum, so [`TraceReader`] can stream a trace — validating as
-//! it goes — without materializing the decoded `Vec<DynInst>`. Version-1
-//! files (a single unframed record stream) remain readable; writes always
-//! use the current version.
+//! it goes — without materializing the decoded `Vec<DynInst>`. Readers
+//! accept only the current version; any other is a
+//! [`TraceFileError::BadVersion`].
 //!
 //! [`TraceCache`] wraps this format with a whole-file checksum footer and
 //! a name-keyed directory layout; see the [`cache`] module docs for the
@@ -57,11 +57,9 @@ use std::path::Path;
 use fgstp_isa::{DynInst, Inst, Op, Reg};
 
 pub mod cache;
-pub mod snapshot;
 mod varint;
 
 pub use cache::TraceCache;
-pub use snapshot::{SnapshotFile, SNAPSHOT_VERSION};
 pub use varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
 
 const MAGIC: &[u8; 4] = b"FGTR";
@@ -69,9 +67,6 @@ const MAGIC: &[u8; 4] = b"FGTR";
 /// On-disk trace format version; bumping it invalidates every cache file
 /// and every `ExperimentSpec` dedup key derived from it.
 pub const VERSION: u32 = 2;
-
-/// The legacy unframed format, still accepted by readers.
-const VERSION_V1: u32 = 1;
 
 /// Records per block in the current format. Large enough that framing
 /// overhead (two varints and an 8-byte checksum per block) is noise,
@@ -127,11 +122,8 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-/// 64-bit FNV-1a: the integrity check for blocks and cache files, also
-/// exported so cache-key producers (e.g. the session's live-point
-/// snapshot keys) fingerprint configuration with the same hash the files
-/// themselves are checked with.
-pub fn fnv1a(data: &[u8]) -> u64 {
+/// 64-bit FNV-1a: the integrity check for blocks and cache files.
+pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
         h ^= u64::from(b);
@@ -155,7 +147,7 @@ const FLAG_TAKEN_VALUE: u8 = 1 << 2;
 const FLAG_RD_VALUE: u8 = 1 << 3;
 const FLAG_STORE_VALUE: u8 = 1 << 4;
 
-/// Encodes one record (identical in v1 and v2; only the framing differs).
+/// Encodes one record.
 fn write_record(buf: &mut Vec<u8>, d: &DynInst) {
     buf.push(op_code(d.inst.op));
     buf.push(d.inst.rd.index() as u8);
@@ -273,33 +265,17 @@ pub fn write_trace(insts: &[DynInst]) -> Vec<u8> {
     buf
 }
 
-/// Serializes a trace in the legacy version-1 framing: a single unframed,
-/// unchecksummed record stream. New files are always written by
-/// [`write_trace`]; this encoder exists so compatibility tests (and any
-/// tooling that must fabricate old files) can exercise the v1 read path.
-pub fn write_trace_v1(insts: &[DynInst]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + insts.len() * 12);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    write_varint(&mut buf, insts.len() as u64);
-    for d in insts {
-        write_record(&mut buf, d);
-    }
-    buf
-}
-
 /// Shared cursor over a trace buffer; drives both the borrowing
 /// [`TraceReader`] and the owning [`OwnedTraceReader`].
 #[derive(Debug, Clone)]
 struct ReaderState {
-    version: u32,
     total: u64,
     emitted: u64,
     /// Absolute offset of the next unread byte.
     pos: usize,
-    /// Absolute end of the current block's payload (buffer end for v1).
+    /// Absolute end of the current block's payload.
     block_end: usize,
-    /// Records remaining in the current block (whole trace for v1).
+    /// Records remaining in the current block.
     block_left: u64,
     /// A decode error poisons the reader: one `Err` is yielded, then
     /// `None` forever.
@@ -315,7 +291,7 @@ impl ReaderState {
             return Err(TraceFileError::BadMagic);
         }
         let version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(TraceFileError::BadVersion(version));
         }
         let mut buf = &data[8..];
@@ -326,25 +302,18 @@ impl ReaderState {
             return Err(TraceFileError::Truncated);
         }
         let pos = data.len() - buf.len();
-        let (block_end, block_left) = if version == VERSION_V1 {
-            // v1 is one unframed "block" spanning the rest of the buffer.
-            (data.len(), total)
-        } else {
-            // Force a block-header parse on the first record.
-            (pos, 0)
-        };
+        // A zero `block_left` forces a block-header parse on the first record.
         Ok(ReaderState {
-            version,
             total,
             emitted: 0,
             pos,
-            block_end,
-            block_left,
+            block_end: pos,
+            block_left: 0,
             failed: false,
         })
     }
 
-    /// Parses the next v2 block header and verifies its payload checksum.
+    /// Parses the next block header and verifies its payload checksum.
     fn enter_block(&mut self, data: &[u8]) -> Result<(), TraceFileError> {
         if self.pos >= data.len() {
             return Err(TraceFileError::Truncated);
@@ -388,7 +357,7 @@ impl ReaderState {
                 self.pos = self.block_end - buf.len();
                 self.emitted += 1;
                 self.block_left -= 1;
-                if self.block_left == 0 && self.version != VERSION_V1 {
+                if self.block_left == 0 {
                     // Past the payload (any slack included) and checksum.
                     self.pos = self.block_end + 8;
                 }
@@ -410,8 +379,7 @@ impl ReaderState {
 ///
 /// Yields one `Result<DynInst, TraceFileError>` per record, in commit
 /// order with dense `seq`, validating block checksums as each block is
-/// entered — the full decoded `Vec<DynInst>` is never materialized.
-/// Reads both the current block-framed format and legacy v1 files. The
+/// entered — the full decoded `Vec<DynInst>` is never materialized. The
 /// first error poisons the iterator: it is yielded once, then the
 /// iterator ends.
 #[derive(Debug, Clone)]
@@ -438,11 +406,6 @@ impl<'a> TraceReader<'a> {
     /// Total number of records the file declares.
     pub fn total(&self) -> u64 {
         self.state.total
-    }
-
-    /// Format version of the underlying buffer (1 or the current version).
-    pub fn version(&self) -> u32 {
-        self.state.version
     }
 }
 
@@ -512,7 +475,7 @@ impl Iterator for OwnedTraceReader {
 
 impl ExactSizeIterator for OwnedTraceReader {}
 
-/// Deserializes a trace from its binary representation (either version).
+/// Deserializes a trace from its binary representation.
 ///
 /// # Errors
 ///
@@ -621,14 +584,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_readable() {
+    fn v1_stamped_buffers_are_a_bad_version() {
+        // The retired unframed format: header, then bare records.
         let t = sample();
-        let bytes = write_trace_v1(&t);
-        assert_eq!(read_trace(&bytes).unwrap(), t);
-        let reader = TraceReader::new(&bytes).unwrap();
-        assert_eq!(reader.version(), 1);
-        let streamed: Vec<DynInst> = reader.map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, t);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        write_varint(&mut bytes, t.len() as u64);
+        for d in &t {
+            write_record(&mut bytes, d);
+        }
+        assert!(matches!(
+            read_trace(&bytes),
+            Err(TraceFileError::BadVersion(1))
+        ));
+        assert!(matches!(
+            TraceReader::new(&bytes),
+            Err(TraceFileError::BadVersion(1))
+        ));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Acceptance tests for SMARTS-style sampled simulation with
-//! live-points (checkpointed, parallel detailed windows).
+//! live-points (in-memory warm states, parallel detailed windows).
 //!
 //! Four properties gate the methodology (see DESIGN.md, "Sampled
 //! simulation" and "Live-points"):
 //!
 //! 1. **Determinism** — sampled results are bit-identical for any worker
-//!    pool size, for both frontends, like every other session run.
-//! 2. **Checkpoint identity** — a snapshot-warm rerun (live-points
-//!    replayed from the on-disk cache, zero functional warming) produces
-//!    the same figures as the cold run, again at any pool size.
+//!    pool size, for both frontends and under a core override, like
+//!    every other session run.
+//! 2. **Rerun identity** — a rerun over a warm trace cache plans and
+//!    warms again and produces the same figures as a cache-free run,
+//!    again at any pool size, for single jobs and co-run programs.
 //! 3. **Accuracy** — on the long-run suite, the sampled geomean Fg-STP
 //!    speedup lands within ±2% of the full-detail geomean, and the
 //!    estimator's own 95% confidence interval is tight (relative
@@ -66,66 +67,56 @@ fn fingerprint(results: &[BenchResult]) -> String {
     format!("{results:#?}")
 }
 
-/// Every figure-bearing field of a sampled run, *excluding* the
-/// provenance fields (`warmed_insts`, `snapshot_hit`) that legitimately
-/// differ between a cold run and a snapshot-warm replay of it.
-fn estimate_fingerprint(results: &[BenchResult]) -> String {
-    results
-        .iter()
-        .flat_map(|b| b.runs.iter().map(move |r| (b.name, r)))
-        .map(|(name, r)| {
-            let s = r.sampled.as_ref().expect("sampled record");
-            format!(
-                "{name}/{:?}: cycles={} cpi={:?} intervals={:?} mem={:?} \
-                 branches={:?} measured={} detailed={} functional={} core_cycles={}",
-                r.kind,
-                r.result.cycles,
-                s.cpi,
-                s.intervals,
-                s.mem,
-                s.branches,
-                s.measured_insts,
-                s.detailed_insts,
-                s.functional_insts,
-                s.detail_core_cycles
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+/// A sampled run of `machines` (with the Fg-STP core count overridden to
+/// `cores` when set) over both frontends on a `threads`-worker pool.
+fn run_matrix(machines: &[MachineKind], cores: Option<usize>, threads: usize) -> Vec<BenchResult> {
+    let mut s = Session::new()
+        .scale(Scale::Test)
+        .machines(machines.iter().copied())
+        .threads(threads)
+        .no_cache()
+        .sample(regime());
+    if let Some(n) = cores {
+        s = s.cores(n);
+    }
+    s.plan().workloads(both_frontends()).execute()
 }
 
 #[test]
 fn sampled_parallel_runs_are_bit_identical_to_serial() {
-    let machines = [MachineKind::SingleSmall, MachineKind::FgstpSmall];
-    let run = |threads: usize| {
-        Session::new()
-            .scale(Scale::Test)
-            .machines(machines)
-            .threads(threads)
-            .no_cache()
-            .sample(regime())
-            .plan()
-            .workloads(both_frontends())
-            .execute()
-    };
-    let serial = run(1);
-    assert!(!serial.is_empty());
-    let reference = fingerprint(&serial);
-    for threads in [4, 8] {
-        assert_eq!(
-            reference,
-            fingerprint(&run(threads)),
-            "sampled threads({threads}) must be bit-identical to threads(1)"
-        );
+    let cases: [(&[MachineKind], Option<usize>); 2] = [
+        (&[MachineKind::SingleSmall, MachineKind::FgstpSmall], None),
+        // `--cores 4` on the dual-core preset.
+        (&[MachineKind::FgstpSmall], Some(4)),
+    ];
+    let mut serials = Vec::new();
+    for (machines, cores) in cases {
+        let serial = run_matrix(machines, cores, 1);
+        assert!(!serial.is_empty());
+        let reference = fingerprint(&serial);
+        for threads in [4, 8] {
+            assert_eq!(
+                reference,
+                fingerprint(&run_matrix(machines, cores, threads)),
+                "sampled {machines:?} cores {cores:?} threads({threads}) \
+                 must be bit-identical to threads(1)"
+            );
+        }
+        serials.push(serial);
     }
+    // The override reached the sampled machine: four cores project other
+    // cycle counts than the preset's two.
+    let two = serials[0].iter().map(|b| b.runs[1].result.cycles);
+    let four = serials[1].iter().map(|b| b.runs[0].result.cycles);
+    assert!(two.ne(four), "--cores 4 must change the Fg-STP figures");
 }
 
-/// The checkpoint half of the matrix: a cold run stores live-points; a
-/// rerun replays them with zero functional warming; the figures match
-/// bit-for-bit at every pool size, for both frontends.
+/// A rerun over a warm trace cache plans cold again — every run warms
+/// the same instructions — and matches a cache-free run bit-for-bit at
+/// every pool size, for both frontends. Traces are the only files stored.
 #[test]
-fn snapshot_warm_reruns_are_bit_identical_to_cold() {
-    let dir = temp_dir("warm");
+fn cached_sampled_reruns_are_bit_identical_to_cold() {
+    let dir = temp_dir("rerun");
     let _ = std::fs::remove_dir_all(&dir);
     let machines = [MachineKind::SingleSmall, MachineKind::FgstpSmall];
     let run = |threads: usize| {
@@ -136,43 +127,41 @@ fn snapshot_warm_reruns_are_bit_identical_to_cold() {
             .cache_dir(&dir)
             .sample(regime());
         let r = s.plan().workloads(both_frontends()).execute();
-        (r, s.snapshot_stats())
+        (r, s.cache_stats(), s.snapshot_stats())
     };
 
-    let (cold, cs) = run(4);
-    assert_eq!(cs.hits, 0, "first run plans everything cold");
-    assert!(cs.warmed_insts > 0, "cold planning warms the traces");
-    let reference = estimate_fingerprint(&cold);
-    assert!(cold
-        .iter()
-        .flat_map(|b| &b.runs)
-        .all(|r| !r.sampled.as_ref().unwrap().snapshot_hit));
+    let reference = fingerprint(&run_matrix(&machines, None, 4));
+    let (first, fc, fs) = run(4);
+    assert_eq!(fc.hits, 0, "the first run traces everything");
+    assert!(fs.warmed_insts > 0, "planning warms the traces");
+    assert_eq!(reference, fingerprint(&first));
 
-    for threads in [1, 4, 8] {
-        let (warm, ws) = run(threads);
-        assert_eq!(ws.misses, 0, "rerun threads({threads}) replays live-points");
-        assert_eq!(
-            ws.warmed_insts, 0,
-            "snapshot-warm rerun does zero functional warming"
-        );
+    for threads in [1, 8] {
+        let (again, cs, ss) = run(threads);
+        assert_eq!(cs.misses, 0, "rerun threads({threads}) reads cached traces");
+        assert_eq!(ss, fs, "rerun threads({threads}) warms exactly as much");
         assert_eq!(
             reference,
-            estimate_fingerprint(&warm),
-            "snapshot-warm threads({threads}) must match the cold figures"
+            fingerprint(&again),
+            "rerun threads({threads}) must match the cache-free figures"
         );
-        assert!(warm.iter().flat_map(|b| &b.runs).all(|r| r
-            .sampled
-            .as_ref()
-            .unwrap()
-            .snapshot_hit));
+    }
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        assert_eq!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("fgtr"),
+            "only traces are stored: {}",
+            path.display()
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Sampled isolated co-run jobs go through the same planner, so they get
-/// the same matrix: pool-size identity and cold ≡ snapshot-warm.
+/// the same matrix: pool-size identity, cached or not.
 #[test]
-fn sampled_corun_jobs_are_deterministic_and_snapshot_warmable() {
+fn sampled_corun_jobs_are_deterministic() {
     let dir = temp_dir("corun");
     let _ = std::fs::remove_dir_all(&dir);
     let corun = CoRunSpec {
@@ -207,23 +196,20 @@ fn sampled_corun_jobs_are_deterministic_and_snapshot_warmable() {
     let (cold, cs) = run(4, true);
     assert_eq!(cold.len(), 2, "one result row per co-run program");
     assert!(cs.warmed_insts > 0);
-    let reference = estimate_fingerprint(&cold);
+    let reference = fingerprint(&cold);
 
     // Pool size never changes the numbers (cache-free legs too).
     for threads in [1, 8] {
         let (again, _) = run(threads, false);
-        assert_eq!(reference, estimate_fingerprint(&again));
+        assert_eq!(reference, fingerprint(&again));
     }
 
-    // The rerun replays each program's per-shape live-points.
-    let (warm, ws) = run(1, true);
-    assert_eq!(ws.misses, 0);
-    assert_eq!(ws.warmed_insts, 0, "co-run rerun does zero warming");
-    assert_eq!(reference, estimate_fingerprint(&warm));
-    for b in &warm {
-        let r = &b.runs[0];
-        assert!(r.sampled.as_ref().unwrap().snapshot_hit);
-        assert!(r.corun.expect("placement record").isolated);
+    // A rerun over the cached traces warms each program again.
+    let (rerun, rs) = run(1, true);
+    assert_eq!(rs, cs, "the rerun warms exactly as much");
+    assert_eq!(reference, fingerprint(&rerun));
+    for b in &rerun {
+        assert!(b.runs[0].corun.expect("placement record").isolated);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -185,17 +185,20 @@ fn malformed_and_unsatisfiable_requests_get_structured_errors() {
     assert_eq!(kind_of(&v), "unknown-workload");
     let v = ask(r#"{"cmd": "submit", "spec": {"machines": ["warp-drive"]}}"#);
     assert_eq!(kind_of(&v), "unknown-machine");
-    // --cores on a non-Fg-STP machine set and --cores with --sample are
-    // unsatisfiable combinations, not crashes.
+    // --cores on a non-Fg-STP machine set and a sample window that
+    // overflows its interval are unsatisfiable, not crashes.
     let v = ask(r#"{"cmd": "submit", "spec": {"cores": 3}}"#);
     assert_eq!(kind_of(&v), "conflict");
     let v = ask(
         r#"{"cmd": "submit", "spec": {"machines": ["fgstp-small"], "cores": 3,
-            "sample": {"interval": 1000, "warmup": 100, "detail": 100}}}"#
+            "sample": {"interval": 100, "warmup": 80, "detail": 30}}}"#
             .replace('\n', " ")
             .as_str(),
     );
-    assert_eq!(kind_of(&v), "conflict");
+    assert_eq!(kind_of(&v), "bad-value");
+    // The retired live-point switch is an unknown spec field.
+    let v = ask(r#"{"cmd": "submit", "spec": {"snapshot": false}}"#);
+    assert_eq!(kind_of(&v), "bad-json");
     let v = ask(r#"{"cmd": "results", "job": 999}"#);
     assert_eq!(kind_of(&v), "unknown-job");
     // Nesting deep enough to overflow a recursive parser's stack.

@@ -1,24 +1,19 @@
-//! Cross-crate consequences of bumping the on-disk format versions
-//! ([`fg_stp_repro::tracefile::VERSION`] for traces,
-//! [`fg_stp_repro::tracefile::SNAPSHOT_VERSION`] for live-point
-//! snapshots).
+//! Cross-crate consequences of bumping the on-disk trace format version
+//! ([`fg_stp_repro::tracefile::VERSION`]).
 //!
-//! Each version threads through two identity schemes that must both roll
+//! The version threads through two identity schemes that must both roll
 //! over together on a format bump:
 //!
 //! * the on-disk cache embeds it in every file name, so files written by
-//!   a pre-bump build are orphaned (a clean miss + re-trace or re-warm),
-//!   never misread, and
+//!   a pre-bump build are orphaned (a clean miss + re-trace), never
+//!   misread, and
 //! * [`ExperimentSpec::dedup_key`] prefixes it onto every job identity,
 //!   so a post-bump `fgstpd` daemon never serves cached rows keyed by a
 //!   pre-bump submission.
-//!
-//! The two versions are independent: a snapshot-format bump orphans
-//! stale live-points without invalidating a single trace file.
 
 use fg_stp_repro::prelude::*;
 use fg_stp_repro::service::JobQueue;
-use fg_stp_repro::tracefile::{SNAPSHOT_VERSION, VERSION};
+use fg_stp_repro::tracefile::VERSION;
 use fg_stp_repro::workloads::by_name;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -69,74 +64,6 @@ fn version_bump_orphans_old_cache_files() {
         "the miss re-stored a current-version file"
     );
     assert!(old.exists(), "the orphaned file is ignored, not deleted");
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A live-point snapshot stamped with an older snapshot-format version is
-/// invisible to the current build — a clean snapshot miss that silently
-/// re-warms and re-stores — while the trace files in the same directory
-/// stay valid and keep hitting: the two format versions roll over
-/// independently.
-#[test]
-fn snapshot_version_bump_orphans_snapshots_not_traces() {
-    let dir = temp_dir("ss-orphan");
-    let _ = std::fs::remove_dir_all(&dir);
-    let scfg = SampleConfig {
-        interval: 2_000,
-        warmup: 300,
-        detail: 150,
-    };
-    let run = || {
-        let s = Session::new()
-            .scale(Scale::Test)
-            .cache_dir(&dir)
-            .sample(scfg)
-            .machines([MachineKind::FgstpSmall]);
-        let r = s.plan().workload_names(&["perl_hash"]).execute();
-        (r, s.cache_stats(), s.snapshot_stats())
-    };
-
-    let (cold, _, cs) = run();
-    assert_eq!((cs.hits, cs.misses), (0, 1));
-    let cycles = cold[0].runs[0].result.cycles;
-    let snapshot = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "fgss"))
-        .expect("live-point snapshot stored");
-    let name = snapshot.file_name().unwrap().to_str().unwrap().to_owned();
-
-    // Re-stamp the snapshot as the previous format version — as if left
-    // behind by a pre-bump build.
-    let old = snapshot.with_file_name(name.replace(
-        &format!("-s{SNAPSHOT_VERSION}.fgss"),
-        &format!("-s{}.fgss", SNAPSHOT_VERSION - 1),
-    ));
-    assert_ne!(old, snapshot, "version suffix present in the name");
-    std::fs::rename(&snapshot, &old).unwrap();
-
-    let (rerun, trace_stats, ss) = run();
-    assert_eq!(
-        (ss.hits, ss.misses),
-        (0, 1),
-        "a pre-bump snapshot must read as a miss, not a hit"
-    );
-    assert!(ss.warmed_insts > 0, "the miss re-warmed the trace");
-    assert_eq!(
-        trace_stats,
-        CacheStats { hits: 1, misses: 0 },
-        "the trace file is untouched by the snapshot bump and still hits"
-    );
-    assert_eq!(rerun[0].runs[0].result.cycles, cycles);
-    assert!(
-        snapshot.exists(),
-        "the miss re-stored a current-version snapshot"
-    );
-    assert!(
-        old.exists(),
-        "the orphaned snapshot is ignored, not deleted"
-    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -193,12 +120,12 @@ fn queue_dedup_is_keyed_by_the_versioned_spec_identity() {
     let spec = ExperimentSpec::from_args(&["test", "--workloads=perl_hash"]).unwrap();
     let key = spec.dedup_key();
     let prefix = format!(
-        "fgtr-v{VERSION}-ss{SNAPSHOT_VERSION}-rv{}:",
+        "fgtr-v{VERSION}-rv{}:",
         fg_stp_repro::rv::TRANSLATION_VERSION
     );
     assert!(
         key.starts_with(&prefix),
-        "dedup key is versioned by the trace, snapshot, and RV translation formats: {key}"
+        "dedup key is versioned by the trace and RV translation formats: {key}"
     );
 
     // Same spec, same build: the queue returns the first job instead of
@@ -217,19 +144,13 @@ fn queue_dedup_is_keyed_by_the_versioned_spec_identity() {
     // for a translation-scheme bump on the RV side of the prefix.
     let body = &key[prefix.len()..];
     let old_key = format!(
-        "fgtr-v{}-ss{SNAPSHOT_VERSION}-rv{}:{body}",
+        "fgtr-v{}-rv{}:{body}",
         VERSION - 1,
         fg_stp_repro::rv::TRANSLATION_VERSION
     );
     assert_ne!(old_key, key);
-    let old_ss_key = format!(
-        "fgtr-v{VERSION}-ss{}-rv{}:{body}",
-        SNAPSHOT_VERSION + 1,
-        fg_stp_repro::rv::TRANSLATION_VERSION
-    );
-    assert_ne!(old_ss_key, key);
     let old_rv_key = format!(
-        "fgtr-v{VERSION}-ss{SNAPSHOT_VERSION}-rv{}:{body}",
+        "fgtr-v{VERSION}-rv{}:{body}",
         fg_stp_repro::rv::TRANSLATION_VERSION + 1
     );
     assert_ne!(old_rv_key, key);
