@@ -51,7 +51,7 @@ use fgstp_isa::{PreProgram, ThreadedMachine, Trace};
 use fgstp_ooo::build_exec_stream;
 use fgstp_sim::runner::trace_workload;
 use fgstp_sim::spec::scale_word;
-use fgstp_sim::{run, MachineKind, RunInput, RunRequest, Scale};
+use fgstp_sim::{run, MachineKind, PreparedTrace, RunInput, RunRequest, Scale};
 use fgstp_telemetry::json::Json;
 
 /// Report format identifier (bump on incompatible layout changes).
@@ -817,7 +817,8 @@ fn measure(iters: usize) -> (Vec<Measurement>, Vec<&'static str>) {
                     ..RunRequest::default()
                 };
                 for t in traces {
-                    black_box(run(kind, RunInput::Trace(black_box(t.insts())), &req));
+                    let trace = PreparedTrace::new(black_box(t.insts()));
+                    black_box(run(kind, RunInput::Trace(&trace), &req));
                 }
             }),
         ));

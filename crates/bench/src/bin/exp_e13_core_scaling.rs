@@ -17,7 +17,9 @@
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
 use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
-use fgstp_sim::{geomean, run, CpiStack, MachineKind, RunInput, RunRequest, StallCategory, Table};
+use fgstp_sim::{
+    geomean, run, CpiStack, MachineKind, PreparedTrace, RunInput, RunRequest, StallCategory, Table,
+};
 
 const CORE_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
@@ -45,7 +47,8 @@ fn main() {
                 telemetry: true,
                 ..RunRequest::default()
             };
-            let m = run(MachineKind::FgstpSmall, RunInput::Trace(t.insts()), &req);
+            let trace = PreparedTrace::new(t.insts());
+            let m = run(MachineKind::FgstpSmall, RunInput::Trace(&trace), &req);
             let (r, stack) = (m.result, m.cpi.expect("instrumented run"));
             stack
                 .check_against(n as u64 * r.cycles)

@@ -44,7 +44,7 @@ use fgstp_bench::{print_experiment, ExpArgs};
 use fgstp_isa::Trace;
 use fgstp_mem::HierarchyConfig;
 use fgstp_ooo::CoreConfig;
-use fgstp_sim::{geomean, run_on_corun, BenchResult, MachineKind, RunInput, Table};
+use fgstp_sim::{geomean, run_on_corun, BenchResult, MachineKind, PreparedTrace, RunInput, Table};
 use fgstp_workloads::{by_name, Workload};
 
 /// Memory-bound background co-runner for the 2-program scenarios.
@@ -60,7 +60,11 @@ fn corun(
     traces: &[Trace],
     cores: &[usize],
 ) -> Vec<BenchResult> {
-    let inputs: Vec<RunInput> = traces.iter().map(|t| RunInput::Trace(t.insts())).collect();
+    let prepared: Vec<PreparedTrace> = traces
+        .iter()
+        .map(|t| PreparedTrace::new(t.insts()))
+        .collect();
+    let inputs: Vec<RunInput> = prepared.iter().map(RunInput::Trace).collect();
     run_on_corun(kind, workloads, &inputs, cores, false, None)
 }
 

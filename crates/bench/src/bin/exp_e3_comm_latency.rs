@@ -9,11 +9,11 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::FgstpConfig;
-use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
-use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::TimingModel;
+use fgstp::{FgstpConfig, PreparedProgram};
+use fgstp_bench::{print_experiment, run_prepared_cold, ExpArgs, SuiteBaseline};
 use fgstp_sim::{geomean, Table};
+
+const LATENCIES: [u64; 7] = [1, 2, 4, 6, 8, 12, 16];
 
 fn main() {
     let args = ExpArgs::parse();
@@ -21,22 +21,28 @@ fn main() {
     let base = SuiteBaseline::new(&session);
     let jobs = base.jobs();
 
+    // The latency does not change the partition: each kernel is
+    // partitioned once and every latency runs on that program.
+    let per_kernel = session.par_map(&jobs, |((_, t), single)| {
+        let prog = PreparedProgram::new(t.insts(), &FgstpConfig::small());
+        LATENCIES.map(|latency| {
+            let mut cfg = FgstpConfig::small();
+            cfg.comm.latency = latency;
+            let (r, s) = run_prepared_cold(&cfg, &prog);
+            (
+                r.speedup_over(&single.result),
+                (s.partition.comms_per_inst() * 100.0).max(1e-9),
+            )
+        })
+    });
     let mut table = Table::new([
         "comm latency (cycles)",
         "geomean speedup",
         "geomean comms/100 insts",
     ]);
-    for latency in [1u64, 2, 4, 6, 8, 12, 16] {
-        let points = session.par_map(&jobs, |((_, t), single)| {
-            let mut cfg = FgstpConfig::small();
-            cfg.comm.latency = latency;
-            let (r, s) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
-            (
-                r.speedup_over(&single.result),
-                (s.partition.comms_per_inst() * 100.0).max(1e-9),
-            )
-        });
-        let (speedups, comm_rates): (Vec<f64>, Vec<f64>) = points.into_iter().unzip();
+    for (i, latency) in LATENCIES.iter().enumerate() {
+        let (speedups, comm_rates): (Vec<f64>, Vec<f64>) =
+            per_kernel.iter().map(|points| points[i]).unzip();
         table.row([
             latency.to_string(),
             format!("{:.3}", geomean(&speedups)),

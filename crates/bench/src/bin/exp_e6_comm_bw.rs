@@ -8,11 +8,11 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::FgstpConfig;
-use fgstp_bench::{print_experiment, ExpArgs, SuiteBaseline};
-use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::TimingModel;
+use fgstp::{FgstpConfig, PreparedProgram};
+use fgstp_bench::{print_experiment, run_prepared_cold, ExpArgs, SuiteBaseline};
 use fgstp_sim::{geomean, Table};
+
+const BANDWIDTHS: [u32; 3] = [1, 2, 4];
 
 fn main() {
     let args = ExpArgs::parse();
@@ -20,17 +20,14 @@ fn main() {
     let base = SuiteBaseline::new(&session);
     let jobs = base.jobs();
 
-    let mut table = Table::new([
-        "bandwidth (values/cycle)",
-        "geomean speedup",
-        "mean occupancy",
-        "backpressure cycles (sum)",
-    ]);
-    for bandwidth in [1u32, 2, 4] {
-        let points = session.par_map(&jobs, |((_, t), single)| {
+    // The bandwidth does not change the partition: each kernel is
+    // partitioned once and every bandwidth runs on that program.
+    let per_kernel = session.par_map(&jobs, |((_, t), single)| {
+        let prog = PreparedProgram::new(t.insts(), &FgstpConfig::small());
+        BANDWIDTHS.map(|bandwidth| {
             let mut cfg = FgstpConfig::small();
             cfg.comm.bandwidth = bandwidth;
-            let (r, s) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
+            let (r, s) = run_prepared_cold(&cfg, &prog);
             let occupancy = s
                 .comm
                 .iter()
@@ -41,7 +38,16 @@ fn main() {
                 occupancy,
                 s.comm_total().backpressure_cycles,
             )
-        });
+        })
+    });
+    let mut table = Table::new([
+        "bandwidth (values/cycle)",
+        "geomean speedup",
+        "mean occupancy",
+        "backpressure cycles (sum)",
+    ]);
+    for (i, bandwidth) in BANDWIDTHS.iter().enumerate() {
+        let points: Vec<_> = per_kernel.iter().map(|p| p[i]).collect();
         let speedups: Vec<f64> = points.iter().map(|p| p.0).collect();
         let occupancy: Vec<f64> = points.iter().map(|p| p.1).collect();
         let backpressure: u64 = points.iter().map(|p| p.2).sum();

@@ -9,10 +9,8 @@
 //! (scale word, `--workloads=a,b`, `--threads=N`, `--no-cache`,
 //! `--sample*`) plus `--csv`; see `fgstp_bench::ExpArgs`.
 
-use fgstp::FgstpConfig;
-use fgstp_bench::{print_experiment, ExpArgs};
-use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::TimingModel;
+use fgstp::{FgstpConfig, PreparedProgram};
+use fgstp_bench::{print_experiment, run_prepared_cold, ExpArgs};
 use fgstp_sim::Table;
 
 fn main() {
@@ -25,11 +23,14 @@ fn main() {
             .iter()
             .filter(|d| d.class() == fgstp_isa::InstClass::Load)
             .count() as f64;
+        // Speculation does not change the partition: both machines run
+        // one program.
         let spec_cfg = FgstpConfig::small();
-        let (spec, s_spec) = spec_cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
+        let prog = PreparedProgram::new(t.insts(), &spec_cfg);
+        let (spec, s_spec) = run_prepared_cold(&spec_cfg, &prog);
         let mut cons_cfg = FgstpConfig::small();
         cons_cfg.dep_speculation = false;
-        let (cons, _) = cons_cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
+        let (cons, _) = run_prepared_cold(&cons_cfg, &prog);
         [
             w.name.to_owned(),
             s_spec.partition.cross_mem_deps.to_string(),
@@ -71,9 +72,10 @@ fn main() {
     let rows = session.map_suite(|w, t| {
         let mut cfg = FgstpConfig::small();
         cfg.partition.policy = fgstp::PartitionPolicy::ModN { chunk: 4 };
-        let (spec, s_spec) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
+        let prog = PreparedProgram::new(t.insts(), &cfg);
+        let (spec, s_spec) = run_prepared_cold(&cfg, &prog);
         cfg.dep_speculation = false;
-        let (cons, _) = cfg.run_cold(t.insts(), &HierarchyConfig::small(2));
+        let (cons, _) = run_prepared_cold(&cfg, &prog);
         [
             w.name.to_owned(),
             s_spec.partition.cross_mem_deps.to_string(),

@@ -18,8 +18,12 @@
 //! output. The same spec drives the `fgstpd` batch daemon and the
 //! `fgstp` client — see `crates/service`.
 
+use fgstp::{FgstpConfig, FgstpStats, PreparedProgram};
 use fgstp_isa::Trace;
+use fgstp_mem::HierarchyConfig;
+use fgstp_ooo::{RunResult, WarmState};
 use fgstp_sim::{run_on, ExperimentSpec, MachineKind, MachineRun, Scale, Session, Table, Workload};
+use fgstp_telemetry::NullSink;
 
 pub use fgstp_telemetry::json;
 
@@ -108,6 +112,21 @@ impl SuiteBaseline {
     pub fn jobs(&self) -> Vec<(&(Workload, Trace), &MachineRun)> {
         self.traced.iter().zip(&self.singles).collect()
     }
+}
+
+/// A cold, unobserved run of `prog` on `cfg` over a fresh small-preset
+/// hierarchy sized for `cfg`'s cores (the E3, E6 and E8 machine): the
+/// [`fgstp_ooo::TimingModel::run_cold`] of a sweep that partitions each
+/// kernel once and runs every sweep point that keeps the partition key
+/// (comm latency, bandwidth, speculation) on the same program.
+///
+/// # Panics
+///
+/// As [`FgstpConfig::run_prepared`].
+pub fn run_prepared_cold(cfg: &FgstpConfig, prog: &PreparedProgram) -> (RunResult, FgstpStats) {
+    let mut warm = WarmState::new(&cfg.core, &HierarchyConfig::small(cfg.num_cores));
+    let (wr, stats) = cfg.run_prepared(prog, &mut warm, 0, &mut NullSink, &mut Vec::new());
+    (wr.result, stats)
 }
 
 /// Prints a rendered experiment table with a title banner, matching the

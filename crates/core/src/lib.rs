@@ -23,7 +23,8 @@
 //!   2-core instance): shared frontend orchestration, cross-core
 //!   memory-dependence speculation and global in-order commit
 //!   ([`FgstpConfig`] implements [`fgstp_ooo::TimingModel`] by stepping
-//!   one [`FgstpMachine`]);
+//!   one [`FgstpMachine`] over a [`PreparedProgram`], which
+//!   [`FgstpConfig::run_prepared`] takes ready-made);
 //! * [`exec`] — a functional partitioned executor that *proves* a
 //!   partition preserves sequential semantics ([`check_partition`]).
 //!
@@ -64,7 +65,7 @@ pub use corun::{
 };
 pub use depgraph::DepGraph;
 pub use exec::{check_partition, CheckError};
-pub use machine::{FgstpConfig, FgstpMachine, FgstpStats, PreparedProgram};
+pub use machine::{FgstpConfig, FgstpMachine, FgstpStats, PartitionKey, PreparedProgram};
 pub use partition::{
     partition_stream, partition_stream_weighted, PartitionConfig, PartitionPolicy, PartitionStats,
     PartitionedStream,

@@ -19,6 +19,8 @@
 //! The paper's machine is the 2-core instance (`num_cores = 2`, the
 //! default); every mechanism generalizes unchanged to N cores.
 
+use std::sync::Arc;
+
 use fgstp_isa::DynInst;
 use fgstp_mem::{Hierarchy, HierarchyStats};
 use fgstp_ooo::{
@@ -114,10 +116,34 @@ impl FgstpConfig {
     /// Relative steering capacity per core for the weighted partitioner:
     /// issue widths on an asymmetric machine, uniform otherwise (which
     /// keeps the partition bit-identical to the unweighted path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_core` is present with a length other than
+    /// `num_cores`.
     pub fn steering_caps(&self) -> Vec<u64> {
         match &self.per_core {
-            Some(cores) => cores.iter().map(|c| c.issue_width as u64).collect(),
+            Some(cores) => {
+                assert_eq!(
+                    cores.len(),
+                    self.num_cores,
+                    "per-core override list must match FgstpConfig::num_cores"
+                );
+                cores.iter().map(|c| c.issue_width as u64).collect()
+            }
             None => vec![1; self.num_cores],
+        }
+    }
+
+    /// The partitioner's input besides the stream (see [`PartitionKey`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`FgstpConfig::steering_caps`].
+    pub fn partition_key(&self) -> PartitionKey {
+        PartitionKey {
+            config: self.partition,
+            caps: self.steering_caps(),
         }
     }
 
@@ -129,6 +155,31 @@ impl FgstpConfig {
         }
     }
 }
+
+/// Everything a partition depends on besides the execution stream: the
+/// partitioner configuration and the per-core steering capacities. The
+/// partitioner reads the fetched stream alone, so machines that differ
+/// only in core microarchitecture, communication fabric or dependence
+/// speculation share one partition.
+#[derive(Debug, Clone)]
+pub struct PartitionKey {
+    config: PartitionConfig,
+    caps: Vec<u64>,
+}
+
+impl PartialEq for PartitionKey {
+    /// Field-wise equality, with `balance_slack` compared bit for bit so
+    /// that every key equals itself.
+    fn eq(&self, other: &PartitionKey) -> bool {
+        let (a, b) = (&self.config, &other.config);
+        a.policy == b.policy
+            && a.replication == b.replication
+            && a.balance_slack.to_bits() == b.balance_slack.to_bits()
+            && self.caps == other.caps
+    }
+}
+
+impl Eq for PartitionKey {}
 
 /// Fg-STP-specific statistics beyond the per-core pipeline counters.
 #[derive(Debug, Clone, Default)]
@@ -417,11 +468,34 @@ impl TimingModel for FgstpConfig {
         &self.core
     }
 
-    /// Partitions `trace` into a [`PreparedProgram`] and steps one
-    /// [`FgstpMachine`] over it to completion.
+    /// Partitions `trace` into a [`PreparedProgram`] and runs it with
+    /// [`FgstpConfig::run_prepared`].
     fn run<S: CycleSink>(
         &self,
         trace: &[DynInst],
+        warm: &mut WarmState,
+        measure_from: u64,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> (WarmRun, FgstpStats) {
+        let prog = PreparedProgram::new(trace, self);
+        self.run_prepared(&prog, warm, measure_from, sink, recorders)
+    }
+}
+
+impl FgstpConfig {
+    /// [`TimingModel::run`] over a program already partitioned for this
+    /// machine's [`PartitionKey`]: steps one [`FgstpMachine`] to
+    /// completion. Machines with the same key (a sweep over latency,
+    /// bandwidth or speculation; small and medium cores) run one program.
+    ///
+    /// # Panics
+    ///
+    /// As [`TimingModel::run`], and if `prog` was prepared for another
+    /// partition key.
+    pub fn run_prepared<S: CycleSink>(
+        &self,
+        prog: &PreparedProgram,
         warm: &mut WarmState,
         measure_from: u64,
         sink: &mut S,
@@ -432,9 +506,11 @@ impl TimingModel for FgstpConfig {
             self.num_cores,
             "hierarchy core count must match FgstpConfig::num_cores"
         );
-        let prog = PreparedProgram::new(trace, self);
-        let mut machine =
-            FgstpMachine::new(&prog, self, &mut warm.pred, 0, measure_from, recorders);
+        assert!(
+            prog.key == self.partition_key(),
+            "program was prepared for another partition key"
+        );
+        let mut machine = FgstpMachine::new(prog, self, &mut warm.pred, 0, measure_from, recorders);
         let mut now = 0u64;
         while !machine.done() {
             machine.step(now, &mut warm.mem, sink);
@@ -444,14 +520,16 @@ impl TimingModel for FgstpConfig {
     }
 }
 
-/// A partitioned program ready to run on an [`FgstpMachine`]: owns the
+/// A partitioned program ready to run on an [`FgstpMachine`]: the
 /// execution stream and the partition data the machine borrows, so
 /// machines can be created against it and stepped side by side in a
-/// co-run.
-#[derive(Debug)]
+/// co-run. Both are shared: a clone is two reference counts, and one
+/// stream can back the partitions of several keys.
+#[derive(Debug, Clone)]
 pub struct PreparedProgram {
-    stream: Vec<ExecInst>,
-    parts: PartitionedStream,
+    stream: Arc<Vec<ExecInst>>,
+    parts: Arc<PartitionedStream>,
+    key: PartitionKey,
 }
 
 impl PreparedProgram {
@@ -460,20 +538,38 @@ impl PreparedProgram {
     ///
     /// # Panics
     ///
+    /// As [`PreparedProgram::from_stream`].
+    pub fn new(trace: &[DynInst], cfg: &FgstpConfig) -> PreparedProgram {
+        PreparedProgram::from_stream(Arc::new(build_exec_stream(trace)), cfg)
+    }
+
+    /// Partitions an already-built execution stream (see
+    /// [`build_exec_stream`]) for `cfg`'s [`PartitionKey`], sharing the
+    /// stream.
+    ///
+    /// # Panics
+    ///
     /// Panics if `cfg` has no cores or `cfg.per_core` is present with the
     /// wrong length.
-    pub fn new(trace: &[DynInst], cfg: &FgstpConfig) -> PreparedProgram {
+    pub fn from_stream(stream: Arc<Vec<ExecInst>>, cfg: &FgstpConfig) -> PreparedProgram {
         assert!(cfg.num_cores >= 1, "Fg-STP needs at least one core");
-        if let Some(per_core) = &cfg.per_core {
-            assert_eq!(
-                per_core.len(),
-                cfg.num_cores,
-                "per-core override list must match FgstpConfig::num_cores"
-            );
+        let key = cfg.partition_key();
+        let parts = partition_stream_weighted(&stream, &key.config, &key.caps);
+        PreparedProgram {
+            stream,
+            parts: Arc::new(parts),
+            key,
         }
-        let stream = build_exec_stream(trace);
-        let parts = partition_stream_weighted(&stream, &cfg.partition, &cfg.steering_caps());
-        PreparedProgram { stream, parts }
+    }
+
+    /// The shared execution stream.
+    pub fn stream(&self) -> &Arc<Vec<ExecInst>> {
+        &self.stream
+    }
+
+    /// The shared partition.
+    pub fn partition(&self) -> &Arc<PartitionedStream> {
+        &self.parts
     }
 
     /// Number of primary (architectural) instructions.
@@ -985,6 +1081,39 @@ mod tests {
             ),
             StallCategory::MemDepReplay
         );
+    }
+
+    #[test]
+    fn one_program_runs_every_machine_with_its_partition_key() {
+        let t = two_chain_trace();
+        let hcfg = HierarchyConfig::small(2);
+        let prog = PreparedProgram::new(t.insts(), &FgstpConfig::small());
+        let mut slow = FgstpConfig::small();
+        slow.comm.latency = 12;
+        let mut conservative = FgstpConfig::small();
+        conservative.dep_speculation = false;
+        for cfg in [
+            FgstpConfig::small(),
+            FgstpConfig::medium(),
+            slow,
+            conservative,
+        ] {
+            let mut warm = WarmState::new(&cfg.core, &hcfg);
+            let (wr, stats) = cfg.run_prepared(&prog, &mut warm, 0, &mut NullSink, &mut Vec::new());
+            let (plain, plain_stats) = run_fgstp(t.insts(), &cfg, &hcfg);
+            assert_same_result(&wr.result, &plain);
+            assert_eq!(stats.partition, plain_stats.partition);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another partition key")]
+    fn a_program_for_another_partition_key_is_rejected() {
+        let t = two_chain_trace();
+        let prog = PreparedProgram::new(t.insts(), &FgstpConfig::small().with_cores(4));
+        let cfg = FgstpConfig::small();
+        let mut warm = WarmState::new(&cfg.core, &HierarchyConfig::small(2));
+        cfg.run_prepared(&prog, &mut warm, 0, &mut NullSink, &mut Vec::new());
     }
 
     #[test]

@@ -196,6 +196,14 @@ pub fn partition_stream_weighted(
         "num_cores must be in 1..={MAX_PARTITION_CORES}, got {num_cores}"
     );
     assert!(caps.iter().all(|&c| c > 0), "core capacities must be > 0");
+    let replicate = cfg.replication && num_cores > 1;
+    // One closure feeds both the lookahead placement and the replication
+    // plan; it is computed only when either runs.
+    let replicable = if replicate || matches!(cfg.policy, PartitionPolicy::SliceLookahead { .. }) {
+        replicable_closure(stream)
+    } else {
+        Vec::new()
+    };
     let assign = match cfg.policy {
         PartitionPolicy::ModN { chunk } => assign_modn(stream, chunk.max(1), num_cores),
         PartitionPolicy::GreedyDep => assign_greedy(stream, caps),
@@ -204,14 +212,15 @@ pub fn partition_stream_weighted(
             refine_passes,
         } => assign_lookahead(
             stream,
+            &replicable,
             window.max(8),
             refine_passes,
             cfg.balance_slack,
             caps,
         ),
     };
-    let replica_on = if cfg.replication && num_cores > 1 {
-        plan_replication(stream, &assign)
+    let replica_on = if replicate {
+        plan_replication(stream, &replicable, &assign)
     } else {
         vec![0; stream.len()]
     };
@@ -302,12 +311,12 @@ fn replicable_closure(stream: &[ExecInst]) -> Vec<bool> {
 
 fn assign_lookahead(
     stream: &[ExecInst],
+    replicable: &[bool],
     window: usize,
     refine_passes: usize,
     balance_slack: f64,
     caps: &[u64],
 ) -> Vec<u8> {
-    let replicable = replicable_closure(stream);
     let mut assign = vec![0u8; stream.len()];
     let mut base = 0;
     while base < stream.len() {
@@ -319,7 +328,7 @@ fn assign_lookahead(
             &g,
             &assign[..base],
             base,
-            &replicable,
+            replicable,
             refine_passes,
             balance_slack,
             caps,
@@ -503,8 +512,7 @@ fn assign_window(
 /// The pass runs in reverse program order so a whole address/induction
 /// chain replicates together: when a consumer's replica needs its
 /// producer remotely, the producer (if replicable) replicates too.
-fn plan_replication(stream: &[ExecInst], assign: &[u8]) -> Vec<u64> {
-    let replicable = replicable_closure(stream);
+fn plan_replication(stream: &[ExecInst], replicable: &[bool], assign: &[u8]) -> Vec<u64> {
     let mut replica_on = vec![0u64; stream.len()];
     // needed_on[p]: bitmask of cores where p's value must be locally
     // available.

@@ -10,7 +10,7 @@ use crate::config::CoreConfig;
 use crate::core::{Core, CoreStats};
 use crate::env::SingleEnv;
 use crate::pipeview::PipeRecorder;
-use crate::stream::build_exec_stream;
+use crate::stream::{build_exec_stream, ExecInst};
 use crate::warm::WarmState;
 
 /// Result of running a trace through a machine model.
@@ -78,7 +78,10 @@ pub fn deadlock_cap(insts: usize) -> u64 {
 /// ([`CoreConfig`]; Core Fusion is its fused configuration) and the
 /// N-core Fg-STP machine (`fgstp::FgstpConfig`). Each drives exactly one
 /// per-cycle loop, and every run path — cold, sampled window,
-/// instrumented, recorded — goes through [`TimingModel::run`].
+/// instrumented, recorded — goes through [`TimingModel::run`], except a
+/// run matrix sharing one prepared trace, which enters the same loop
+/// past the preparation ([`CoreConfig::run_stream`],
+/// `fgstp::FgstpConfig::run_prepared`).
 pub trait TimingModel {
     /// Machine statistics beyond [`RunResult`] (`()` for the single core).
     type Stats;
@@ -140,6 +143,8 @@ impl TimingModel for CoreConfig {
         self
     }
 
+    /// Builds the execution stream of `trace` and runs it with
+    /// [`CoreConfig::run_stream`].
     fn run<S: CycleSink>(
         &self,
         trace: &[DynInst],
@@ -148,11 +153,34 @@ impl TimingModel for CoreConfig {
         sink: &mut S,
         recorders: &mut Vec<PipeRecorder>,
     ) -> (WarmRun, ()) {
-        assert!(recorders.len() <= 1, "one pipeline recorder per core");
         let stream = build_exec_stream(trace);
+        (
+            self.run_stream(&stream, warm, measure_from, sink, recorders),
+            (),
+        )
+    }
+}
+
+impl CoreConfig {
+    /// [`TimingModel::run`] over an already-built execution stream (see
+    /// [`build_exec_stream`]): the single-core per-cycle loop. A run
+    /// matrix builds one stream per trace and hands it to every machine.
+    ///
+    /// # Panics
+    ///
+    /// As [`TimingModel::run`].
+    pub fn run_stream<S: CycleSink>(
+        &self,
+        stream: &[ExecInst],
+        warm: &mut WarmState,
+        measure_from: u64,
+        sink: &mut S,
+        recorders: &mut Vec<PipeRecorder>,
+    ) -> WarmRun {
+        assert!(recorders.len() <= 1, "one pipeline recorder per core");
         let branches_before = (warm.pred.branches, warm.pred.mispredicts);
         let mut env = SingleEnv::new(&mut warm.pred);
-        let mut core = Core::new(0, self, &stream);
+        let mut core = Core::new(0, self, stream);
         if let Some(r) = recorders.pop() {
             core.set_recorder(r);
         }
@@ -201,13 +229,10 @@ impl TimingModel for CoreConfig {
             mem: warm.mem.stats(),
         };
         recorders.extend(core.take_recorder());
-        (
-            WarmRun {
-                result,
-                warmup_cycles,
-            },
-            (),
-        )
+        WarmRun {
+            result,
+            warmup_cycles,
+        }
     }
 }
 

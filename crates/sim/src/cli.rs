@@ -32,7 +32,7 @@ use fgstp_workloads::{by_name, suite, Scale};
 
 use crate::presets::MachineKind;
 use crate::report::Table;
-use crate::runner::{run as run_machine, RunInput, RunRequest};
+use crate::runner::{run as run_machine, PreparedTrace, RunInput, RunRequest};
 use crate::spec::{parse_machine, parse_scale, ExperimentSpec, SpecError};
 
 /// The full command-line synopsis, attached to every usage error.
@@ -186,7 +186,11 @@ pub fn run(args: &[&str]) -> Result<String, CliError> {
             episodes: true,
             ..RunRequest::default()
         };
-        run_machine(kind, RunInput::Trace(trace.insts()), &req)
+        run_machine(
+            kind,
+            RunInput::Trace(&PreparedTrace::new(trace.insts())),
+            &req,
+        )
     } else {
         let mut bench = session.run_workload(&w);
         if let Some(e) = bench.error {

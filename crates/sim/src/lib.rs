@@ -52,8 +52,9 @@
 //! ```
 //!
 //! Every run — session job, CLI command, experiment point — goes through
-//! [`run`]: one machine preset, one [`RunInput`] (a trace, or a sampled
-//! plan) and one [`RunRequest`] (core override, telemetry, window pool).
+//! [`run`]: one machine preset, one [`RunInput`] (a [`PreparedTrace`],
+//! or a sampled plan) and one [`RunRequest`] (core override, telemetry,
+//! window pool).
 //! [`run_on`] is its full-detail shorthand, and the historical
 //! [`run_suite`] free function is a thin shim over a default `Session`.
 //! Table rendering for the experiment harness lives in [`report`].
@@ -74,7 +75,7 @@ pub use presets::MachineKind;
 pub use report::{cpi_stack_table, speedup_table, SpeedupSummary, Table};
 pub use runner::{
     geomean, run, run_on, run_on_corun, run_on_sampled_plan, run_suite, BenchResult, CoRunInfo,
-    MachineRun, RunInput, RunRequest, WindowPool,
+    MachineRun, PreparedTrace, RunInput, RunRequest, WindowPool,
 };
 pub use session::{CacheStats, RunPlan, Session, SnapshotStats, TraceStream, TraceStreamIter};
 pub use spec::{CoRunProgramSpec, CoRunSpec, ExperimentSpec, SpecError, SpecErrorKind};

@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn cpi_stack_table_rows_reconcile_with_cpi() {
-        use crate::runner::{run, trace_workload, RunInput, RunRequest};
+        use crate::runner::{run, trace_workload, PreparedTrace, RunInput, RunRequest};
         use fgstp_workloads::{by_name, Scale};
 
         let w = by_name("gcc_expr", Scale::Test).unwrap();
@@ -333,7 +333,7 @@ mod tests {
             committed: t.len() as u64,
             runs: vec![run(
                 MachineKind::FgstpSmall,
-                RunInput::Trace(t.insts()),
+                RunInput::Trace(&PreparedTrace::new(t.insts())),
                 &RunRequest {
                     telemetry: true,
                     ..RunRequest::default()

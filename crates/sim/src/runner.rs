@@ -7,14 +7,25 @@
 //! request-driven entry point: it resolves the preset (and any core-count
 //! override) to a [`TimingModel`], attaches the requested sink, and runs
 //! the input — a trace in full detail or a [`SamplePlan`]'s windows.
+//! A full-detail trace comes as a [`PreparedTrace`], which every machine
+//! of a run matrix shares: one execution stream per trace and one
+//! partition per [`PartitionKey`].
 //! Co-runs go through [`run_on_corun`]. [`run_on`],
 //! [`run_on_sampled_plan`] and the historical [`run_suite`] are thin
 //! shims.
 
-use fgstp::{run_corun, CoRunContention, CoRunPlan, CoRunProgram, FgstpConfig, FgstpStats};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use fgstp::{
+    run_corun, CoRunContention, CoRunPlan, CoRunProgram, FgstpConfig, FgstpStats, PartitionKey,
+    PreparedProgram,
+};
 use fgstp_isa::DynInst;
 use fgstp_mem::HierarchyConfig;
-use fgstp_ooo::{CoreConfig, PipeRecorder, RunResult, TimingModel, WarmRun, WarmState};
+use fgstp_ooo::{
+    build_exec_stream, CoreConfig, ExecInst, PipeRecorder, RunResult, TimingModel, WarmRun,
+    WarmState,
+};
 use fgstp_sampling::{run_plan, SamplePlan, SampledRun};
 use fgstp_telemetry::{CpiSink, CpiStack, CycleSink, Episode, NullSink};
 use fgstp_workloads::{Scale, Workload};
@@ -204,11 +215,79 @@ pub fn warm_shape(kind: MachineKind) -> (CoreConfig, HierarchyConfig) {
     (model.base_core().clone(), hcfg)
 }
 
+/// One trace with the preparation every machine of a run matrix shares:
+/// its execution stream, built once, and one [`PreparedProgram`] per
+/// distinct [`PartitionKey`] (the partitioner reads the stream alone, so
+/// small and medium Fg-STP cores share a partition while a different
+/// core count or steering capacity gets its own). Jobs on several worker
+/// threads share one `PreparedTrace`: the first to need a piece builds
+/// it while the others wait for it.
+#[derive(Debug)]
+pub struct PreparedTrace<'a> {
+    insts: &'a [DynInst],
+    stream: Mutex<Option<Arc<Vec<ExecInst>>>>,
+    programs: Mutex<Vec<(PartitionKey, Arc<OnceLock<PreparedProgram>>)>>,
+}
+
+impl<'a> PreparedTrace<'a> {
+    /// A memo over `insts` with nothing built yet.
+    pub fn new(insts: &'a [DynInst]) -> PreparedTrace<'a> {
+        PreparedTrace {
+            insts,
+            stream: Mutex::new(None),
+            programs: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The committed-path trace.
+    pub(crate) fn insts(&self) -> &'a [DynInst] {
+        self.insts
+    }
+
+    /// The trace's execution stream, built on first use.
+    pub(crate) fn stream(&self) -> Arc<Vec<ExecInst>> {
+        let mut stream = self.stream.lock().expect("stream lock");
+        Arc::clone(stream.get_or_insert_with(|| Arc::new(build_exec_stream(self.insts))))
+    }
+
+    /// The stream partitioned for `cfg`'s [`PartitionKey`], built on
+    /// first use of that key.
+    ///
+    /// # Panics
+    ///
+    /// As [`PreparedProgram::from_stream`].
+    pub(crate) fn program(&self, cfg: &FgstpConfig) -> PreparedProgram {
+        let key = cfg.partition_key();
+        let slot = {
+            let mut programs = self.programs.lock().expect("program lock");
+            match programs.iter().find(|(k, _)| *k == key) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::new(OnceLock::new());
+                    programs.push((key, Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        slot.get_or_init(|| PreparedProgram::from_stream(self.stream(), cfg))
+            .clone()
+    }
+
+    /// Drops the stream and every partition (runs still holding them
+    /// keep theirs); a later request rebuilds them. A run matrix calls
+    /// this after a workload's last job, which bounds peak memory to the
+    /// workloads in flight.
+    pub(crate) fn release(&self) {
+        *self.stream.lock().expect("stream lock") = None;
+        self.programs.lock().expect("program lock").clear();
+    }
+}
+
 /// What one run simulates.
 #[derive(Debug, Clone, Copy)]
 pub enum RunInput<'a> {
     /// A committed-path trace, simulated in full detail.
-    Trace(&'a [DynInst]),
+    Trace(&'a PreparedTrace<'a>),
     /// A planned sampled run: its detailed windows run on the machine and
     /// merge into projected totals (see [`fgstp_sampling`]).
     Plan(&'a SamplePlan),
@@ -272,7 +351,18 @@ fn simulate<S: CycleSink>(
     let (result, fgstp, sampled) = match input {
         RunInput::Trace(trace) => {
             let mut warm = WarmState::new(model.base_core(), hcfg);
-            let (wr, stats) = model.run(trace, &mut warm, 0, sink, &mut Vec::new());
+            let recorders = &mut Vec::new();
+            let (wr, stats) = match model {
+                Model::Single(c) => (
+                    c.run_stream(&trace.stream(), &mut warm, 0, sink, recorders),
+                    None,
+                ),
+                Model::Fgstp(f) => {
+                    let (wr, stats) =
+                        f.run_prepared(&trace.program(f), &mut warm, 0, sink, recorders);
+                    (wr, Some(stats))
+                }
+            };
             (wr.result, stats, None)
         }
         RunInput::Plan(plan) => {
@@ -300,7 +390,11 @@ fn simulate<S: CycleSink>(
 
 /// Runs one trace through one machine preset in full detail.
 pub fn run_on(kind: MachineKind, trace: &[DynInst]) -> MachineRun {
-    run(kind, RunInput::Trace(trace), &RunRequest::default())
+    run(
+        kind,
+        RunInput::Trace(&PreparedTrace::new(trace)),
+        &RunRequest::default(),
+    )
 }
 
 /// Executes a prepared [`SamplePlan`] on machine `kind`; `telemetry` and
@@ -374,7 +468,7 @@ pub fn run_on_corun(
         let traces: Vec<&[DynInst]> = inputs
             .iter()
             .map(|input| match input {
-                RunInput::Trace(t) => *t,
+                RunInput::Trace(t) => t.insts(),
                 RunInput::Plan(_) => {
                     panic!("a shared-hierarchy co-run cannot be sampled; add --corun-isolated")
                 }
@@ -493,7 +587,7 @@ mod tests {
             cores: Some(cores),
             ..RunRequest::default()
         };
-        run(kind, RunInput::Trace(trace), &req)
+        run(kind, RunInput::Trace(&PreparedTrace::new(trace)), &req)
     }
 
     #[test]
@@ -584,7 +678,7 @@ mod tests {
                 episodes: true,
                 ..RunRequest::default()
             };
-            let inst = run(k, RunInput::Trace(t.insts()), &req);
+            let inst = run(k, RunInput::Trace(&PreparedTrace::new(t.insts())), &req);
             let episodes = &inst.episodes;
             assert_eq!(inst.result.cycles, plain.result.cycles, "{k}");
             assert_eq!(inst.result.committed, plain.result.committed, "{k}");
@@ -664,5 +758,71 @@ mod tests {
         let w = by_name("hmmer_dp", Scale::Test).unwrap();
         let t = trace_workload(&w, Scale::Test);
         run_with_cores(MachineKind::SingleSmall, t.insts(), 2);
+    }
+
+    #[test]
+    fn memo_shares_one_partition_per_partition_key() {
+        let w = by_name("hmmer_dp", Scale::Test).unwrap();
+        let t = trace_workload(&w, Scale::Test);
+        let memo = PreparedTrace::new(t.insts());
+        let small = memo.program(&FgstpConfig::small());
+        // Same key: the medium core, another comm latency, no speculation.
+        let mut slow = FgstpConfig::small();
+        slow.comm.latency = 16;
+        let mut conservative = FgstpConfig::medium();
+        conservative.dep_speculation = false;
+        for cfg in [FgstpConfig::medium(), slow, conservative] {
+            let p = memo.program(&cfg);
+            assert!(Arc::ptr_eq(p.partition(), small.partition()), "{cfg:?}");
+        }
+        // A different core count, per-core caps or balance slack each
+        // build their own partition over the one shared stream.
+        let mut slack = FgstpConfig::small();
+        slack.partition.balance_slack = 0.3;
+        let others = [
+            FgstpConfig::small().with_cores(4),
+            FgstpConfig::small().with_per_core(vec![CoreConfig::medium(), CoreConfig::small()]),
+            slack,
+        ];
+        let mut parts = vec![small.clone()];
+        for cfg in &others {
+            let p = memo.program(cfg);
+            assert!(Arc::ptr_eq(p.stream(), small.stream()), "{cfg:?}");
+            for q in &parts {
+                assert!(!Arc::ptr_eq(p.partition(), q.partition()), "{cfg:?}");
+            }
+            // Asking again hits the memo.
+            assert!(Arc::ptr_eq(memo.program(cfg).partition(), p.partition()));
+            parts.push(p);
+        }
+        assert!(Arc::ptr_eq(&memo.stream(), small.stream()));
+        assert_eq!(parts[1].partition().num_cores(), 4);
+    }
+
+    #[test]
+    fn memo_release_frees_the_stream_and_partitions() {
+        let w = by_name("perl_hash", Scale::Test).unwrap();
+        let t = trace_workload(&w, Scale::Test);
+        let memo = PreparedTrace::new(t.insts());
+        let stream = Arc::downgrade(&memo.stream());
+        let small = Arc::downgrade(memo.program(&FgstpConfig::small()).partition());
+        let held = memo.program(&FgstpConfig::small().with_cores(4));
+        let four = Arc::downgrade(held.partition());
+        memo.release();
+        assert!(small.upgrade().is_none(), "released partition is freed");
+        // A run still holding its program keeps it (and the stream) alive
+        // until it finishes.
+        assert!(four.upgrade().is_some() && stream.upgrade().is_some());
+        drop(held);
+        assert!(four.upgrade().is_none() && stream.upgrade().is_none());
+        // After a release the memo rebuilds on demand, with the same
+        // figures.
+        let r = run(
+            MachineKind::FgstpSmall,
+            RunInput::Trace(&memo),
+            &RunRequest::default(),
+        );
+        let fresh = run_on(MachineKind::FgstpSmall, t.insts());
+        assert_eq!(format!("{r:?}"), format!("{fresh:?}"));
     }
 }

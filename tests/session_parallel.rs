@@ -6,6 +6,7 @@
 use std::time::Instant;
 
 use fg_stp_repro::prelude::*;
+use fg_stp_repro::sim::{run, PreparedTrace, RunInput, RunRequest};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("fgstp-itest-{tag}-{}", std::process::id()))
@@ -120,4 +121,64 @@ fn plan_narrowing_matches_the_full_suite_rows() {
         narrowed.iter().map(|b| b.name).collect::<Vec<_>>(),
         reordered.iter().map(|b| b.name).collect::<Vec<_>>(),
     );
+}
+
+/// Kernels for the sharing matrix: a split-friendly DP loop, a serial
+/// pointer chase, a streaming kernel and a hash loop.
+const SHARING_KERNELS: [&str; 4] = ["hmmer_dp", "mcf_pointer", "libq_stream", "perl_hash"];
+
+/// Every job of a run matrix shares its workload's execution stream and
+/// one partition per partition key; the figures must be exactly those of
+/// an independent run per (workload, machine), at any pool size. The
+/// scaling set mixes 2-core presets (small and medium share a partition)
+/// with 4-core ones (which must not share the 2-core partition).
+#[test]
+fn shared_preparation_matches_independent_runs() {
+    let session = Session::new().scale(Scale::Test).no_cache();
+    let workloads: Vec<Workload> = SHARING_KERNELS
+        .iter()
+        .map(|n| fg_stp_repro::workloads::by_name(n, Scale::Test).unwrap())
+        .collect();
+    let traces: Vec<_> = workloads.iter().map(|w| session.trace(w)).collect();
+    let independent = |kind: MachineKind, t: &fg_stp_repro::isa::Trace, cores: Option<usize>| {
+        let req = RunRequest {
+            cores,
+            ..RunRequest::default()
+        };
+        let trace = PreparedTrace::new(t.insts());
+        format!("{:#?}", run(kind, RunInput::Trace(&trace), &req))
+    };
+    let fgstp_only: Vec<MachineKind> = MachineKind::WITH_SCALING
+        .into_iter()
+        .filter(|k| k.is_fgstp())
+        .collect();
+    // (machines, core override) cases: the whole scaling set as built,
+    // and every Fg-STP preset forced to four cores.
+    let cases = [
+        (MachineKind::WITH_SCALING.to_vec(), None),
+        (fgstp_only, Some(4)),
+    ];
+    for (machines, cores) in cases {
+        let expected: Vec<Vec<String>> = traces
+            .iter()
+            .map(|t| machines.iter().map(|&k| independent(k, t, cores)).collect())
+            .collect();
+        for threads in [1, 2, 8] {
+            let mut s = session.clone().threads(threads).machines(machines.clone());
+            if let Some(n) = cores {
+                s = s.cores(n);
+            }
+            let results = s.plan().workloads(workloads.clone()).execute();
+            assert_eq!(results.len(), workloads.len());
+            for ((b, t), want) in results.iter().zip(&traces).zip(&expected) {
+                assert_eq!(b.committed, t.len() as u64, "{}", b.name);
+                let got: Vec<String> = b.runs.iter().map(|r| format!("{r:#?}")).collect();
+                assert_eq!(
+                    &got, want,
+                    "{} at threads({threads}), cores {cores:?}",
+                    b.name
+                );
+            }
+        }
+    }
 }

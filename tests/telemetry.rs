@@ -5,7 +5,9 @@
 //! panic, with telemetry on or off.
 
 use fg_stp_repro::prelude::*;
-use fg_stp_repro::sim::{cpi_stack_table, run, speedup_table, BenchResult, RunInput, RunRequest};
+use fg_stp_repro::sim::{
+    cpi_stack_table, run, speedup_table, BenchResult, PreparedTrace, RunInput, RunRequest,
+};
 
 const MACHINES: [MachineKind; 3] = [
     MachineKind::SingleSmall,
@@ -144,7 +146,7 @@ fn chrome_trace_export_covers_the_whole_run() {
     };
     let traced = run(
         MachineKind::FgstpSmall,
-        RunInput::Trace(trace.insts()),
+        RunInput::Trace(&PreparedTrace::new(trace.insts())),
         &req,
     );
     let episodes = &traced.episodes;
